@@ -32,6 +32,7 @@ from .foxh import (
     QuadratureConfig,
     dump_spec,
     eval_foxh,
+    suggest_anchors,
 )
 from .metrics import ModulationParams, ber_exact, diversity, outage_asymptotic, outage_exact
 from .montecarlo import DegenerateEstimate, SimPlan, estimate_ber, estimate_outage
@@ -269,24 +270,29 @@ def _cmd_verify(args) -> int:
 def _cmd_foxh_eval(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    terms = tuple(
-        GammaTerm(
-            offset=t["offset"],
-            coeffs=tuple(t["coeffs"]),
-            sign=t.get("sign", 1),
-            orientation=t.get("orientation", 1),
+    try:
+        terms = tuple(
+            GammaTerm(
+                offset=t["offset"],
+                coeffs=tuple(t["coeffs"]),
+                sign=t.get("sign", 1),
+                orientation=t.get("orientation", 1),
+            )
+            for t in payload["terms"]
         )
-        for t in payload["terms"]
-    )
-    contour = payload.get("contour_re")
-    if contour is None:
-        from .foxh import suggest_anchors
-
-        contour = suggest_anchors(terms, len(payload["args"]))
-    spec = FoxHSpec(args=tuple(payload["args"]), terms=terms, contour_re=tuple(contour))
-    if not args.quiet:
-        dump_spec(spec, sys.stderr)
-    value, err = eval_foxh(spec)
+        contour = payload.get("contour_re")
+        if contour is None:
+            contour = suggest_anchors(terms, len(payload["args"]))
+        spec = FoxHSpec(args=tuple(payload["args"]), terms=terms, contour_re=tuple(contour))
+        if not args.quiet:
+            dump_spec(spec, sys.stderr)
+        value, err = eval_foxh(spec)
+    except KeyError as e:
+        print(f"error: spec has no field {e}", file=sys.stderr)
+        return EXIT_ERROR
+    except (ValueError, NotConverged) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_ERROR
     print(f"value = {value:.17e}")
     print(f"err_estimate = {err:.3e}")
     return EXIT_OK

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .channel import LinkBudget
 from .dgg import CascadeParams, DggParams, cascade_coeffs, cascade_shapes, dgg_psi_phi
-from .foxh import FoxHSpec, GammaTerm, QuadratureConfig, eval_foxh, suggest_anchors
+from .foxh import MAX_DIMS, FoxHSpec, GammaTerm, QuadratureConfig, eval_foxh, suggest_anchors
 
 __all__ = [
     "N_EXACT_MAX",
@@ -23,16 +23,17 @@ __all__ = [
     "hris_pdf_spec",
     "hris_pdf",
     "hris_cdf",
+    "snr_spec",
     "gamma_pdf",
     "gamma_cdf",
     "mgf_gamma_ris",
     "mgf_gamma_d",
 ]
 
-# Beyond this many reflecting elements the contour dimension makes exact
-# evaluation unreliable at desk scale; callers should fall back to the
-# Monte-Carlo route.
-N_EXACT_MAX = 4
+# The combined SNR needs one contour variable per element plus one for the
+# direct link, and the evaluator takes at most MAX_DIMS variables; callers
+# fall back to the Monte-Carlo route beyond this many reflecting elements.
+N_EXACT_MAX = MAX_DIMS - 1
 
 
 class ExactCapExceeded(RuntimeError):
@@ -73,9 +74,9 @@ class CombinedSnrStat:
         return math.exp(self.log_coefficient)
 
 
-def _log_element_coeff(ensemble: RisEnsemble) -> float:
+def _log_element_coeff(elements) -> float:
     total = 0.0
-    for c in ensemble.elements:
+    for c in elements:
         A, B = cascade_coeffs(c)
         total += math.log(A) + c.hop1.beta2 * math.log(B)
     return total
@@ -87,7 +88,9 @@ def _log_direct_coeff(direct: DggParams) -> float:
 
 
 def combined_snr_stat(ensemble: RisEnsemble, budget: LinkBudget) -> CombinedSnrStat:
-    log_coeff = math.log(0.25) + _log_direct_coeff(ensemble.direct) + _log_element_coeff(ensemble)
+    log_coeff = (
+        math.log(0.25) + _log_direct_coeff(ensemble.direct) + _log_element_coeff(ensemble.elements)
+    )
     if not math.isfinite(log_coeff):
         raise ValueError("non-finite SNR-statistic prefactor")
     return CombinedSnrStat(ensemble=ensemble, budget=budget, log_coefficient=log_coeff)
@@ -99,47 +102,15 @@ def _unit(n: int, i: int, scale: float = 1.0) -> tuple[float, ...]:
     return tuple(v)
 
 
-def _element_terms(ensemble: RisEnsemble, nvars: int) -> list[GammaTerm]:
+def _element_terms(elements, nvars: int) -> list[GammaTerm]:
     """Five Gamma factors per reflecting element, element i on variable i."""
     terms = []
-    for i, c in enumerate(ensemble.elements):
+    for i, c in enumerate(elements):
         a2 = c.hop1.alpha2
         for alpha, beta in cascade_shapes(c):
             terms.append(GammaTerm(beta, _unit(nvars, i, a2 / alpha)))
         terms.append(GammaTerm(0.0, _unit(nvars, i, a2), orientation=-1))
     return terms
-
-
-def _direct_terms(direct: DggParams, nvars: int, idx: int) -> list[GammaTerm]:
-    ad2 = direct.alpha2
-    return [
-        GammaTerm(direct.beta2, _unit(nvars, idx, 1.0)),
-        GammaTerm(direct.beta1, _unit(nvars, idx, ad2 / direct.alpha1)),
-        GammaTerm(0.0, _unit(nvars, idx, ad2 / 2.0), orientation=-1),
-    ]
-
-
-def _half_coeffs(ensemble: RisEnsemble, nvars: int, with_direct: bool) -> tuple[float, ...]:
-    v = [c.hop1.alpha2 / 2.0 for c in ensemble.elements]
-    if nvars > ensemble.n_elements:
-        v.append(ensemble.direct.alpha2 / 2.0 if with_direct else 0.0)
-    return tuple(v)
-
-
-def _full_ris_coeffs(ensemble: RisEnsemble, nvars: int) -> tuple[float, ...]:
-    v = [c.hop1.alpha2 for c in ensemble.elements]
-    if nvars > ensemble.n_elements:
-        v.append(0.0)
-    return tuple(v)
-
-
-def _ris_args(ensemble: RisEnsemble, base: float, exponent_sign: float) -> list[float]:
-    """Element arguments (base)^(sign*alpha2/2) / B_i; base > 0."""
-    args = []
-    for c in ensemble.elements:
-        _, B = cascade_coeffs(c)
-        args.append(base ** (exponent_sign * c.hop1.alpha2 / 2.0) / B)
-    return args
 
 
 def _build(args, terms) -> FoxHSpec:
@@ -155,11 +126,11 @@ def hris_pdf_spec(ensemble: RisEnsemble, z: float) -> tuple[float, FoxHSpec]:
     """(log prefactor, spec) so that exp(logc) * H equals the density at z."""
     if z <= 0:
         raise ValueError("requires z > 0")
-    n = ensemble.n_elements
-    terms = _element_terms(ensemble, n)
-    terms.append(GammaTerm(0.0, _full_ris_coeffs(ensemble, n), sign=-1, orientation=-1))
-    args = [z ** c.hop1.alpha2 / cascade_coeffs(c)[1] for c in ensemble.elements]
-    logc = _log_element_coeff(ensemble) - math.log(z)
+    elements = ensemble.elements
+    terms = _element_terms(elements, len(elements))
+    terms.append(GammaTerm(0.0, tuple(c.hop1.alpha2 for c in elements), sign=-1, orientation=-1))
+    args = [z ** c.hop1.alpha2 / cascade_coeffs(c)[1] for c in elements]
+    logc = _log_element_coeff(elements) - math.log(z)
     return logc, _build(args, terms)
 
 
@@ -172,72 +143,93 @@ def hris_pdf(ensemble: RisEnsemble, z: float, quad: QuadratureConfig = Quadratur
 def hris_cdf(ensemble: RisEnsemble, z: float, quad: QuadratureConfig = QuadratureConfig()) -> float:
     if z <= 0:
         raise ValueError("requires z > 0")
-    n = ensemble.n_elements
-    terms = _element_terms(ensemble, n)
-    terms.append(GammaTerm(1.0, _full_ris_coeffs(ensemble, n), sign=-1, orientation=-1))
-    args = [z ** c.hop1.alpha2 / cascade_coeffs(c)[1] for c in ensemble.elements]
+    elements = ensemble.elements
+    terms = _element_terms(elements, len(elements))
+    terms.append(GammaTerm(1.0, tuple(c.hop1.alpha2 for c in elements), sign=-1, orientation=-1))
+    args = [z ** c.hop1.alpha2 / cascade_coeffs(c)[1] for c in elements]
     value, _ = eval_foxh(_build(args, terms), quad)
-    return math.exp(_log_element_coeff(ensemble)) * value
+    return math.exp(_log_element_coeff(elements)) * value
 
 
 # ---------------------------------------------------------------------------
-# combined SNR
+# SNR of any branch set: reflected, direct, or both combined
+
+# Factors Gamma(offset - sum_i (alpha2_i/2) t_i)^sign, over every branch
+# variable, that turn the Mellin transform of the SNR into each functional.
+_FUNCTIONAL_TERMS = {
+    "pdf": ((0.0, -1),),
+    "cdf": ((1.0, -1),),
+    "ber": ((0.5, 1), (1.0, -1)),
+    "mgf": (),
+}
 
 
-def _combined_terms(stat: CombinedSnrStat, distribution: str) -> tuple[list, int]:
-    """Shared Gamma structure of the combined-SNR PDF/CDF/BER specs."""
-    ens = stat.ensemble
-    nvars = ens.n_elements + 1
-    terms = _element_terms(ens, nvars)
-    terms += _direct_terms(ens.direct, nvars, nvars - 1)
-    half_ris = _half_coeffs(ens, nvars, with_direct=False)
-    half_all = _half_coeffs(ens, nvars, with_direct=True)
-    full_ris = _full_ris_coeffs(ens, nvars)
-    terms.append(GammaTerm(0.0, half_ris, orientation=-1))
-    terms.append(GammaTerm(0.0, full_ris, sign=-1, orientation=-1))
-    if distribution == "pdf":
-        terms.append(GammaTerm(0.0, half_all, sign=-1, orientation=-1))
-    elif distribution == "cdf":
-        terms.append(GammaTerm(1.0, half_all, sign=-1, orientation=-1))
-    elif distribution == "ber":
-        terms.append(GammaTerm(0.5, half_all, orientation=-1))
-        terms.append(GammaTerm(1.0, half_all, sign=-1, orientation=-1))
-    else:
-        raise ValueError(distribution)
-    return terms, nvars
+def snr_spec(
+    elements: tuple[CascadeParams, ...],
+    direct: DggParams | None,
+    budget: LinkBudget,
+    functional: str,
+    x: float,
+) -> tuple[float, FoxHSpec]:
+    """(log prefactor, spec) so that exp(logc) * H is a functional of the SNR.
 
-
-def _combined_args(stat: CombinedSnrStat, g: float) -> list[float]:
-    ens, bud = stat.ensemble, stat.budget
-    _, phi_d = dgg_psi_phi(ens.direct)
-    args = _ris_args(ens, g / bud.gamma0_ris, +1.0)
-    args.append(phi_d * (g / bud.gamma0_d) ** (ens.direct.alpha2 / 2.0))
-    return args
-
-
-def _check_cap(ensemble: RisEnsemble) -> None:
-    if ensemble.n_elements > N_EXACT_MAX:
-        raise ExactCapExceeded(ensemble.n_elements)
+    The branches are one contour variable per reflecting element in
+    ``elements``, then one for ``direct``: an empty ``elements`` is the
+    direct link alone and ``direct=None`` the reflected branch alone.
+    ``functional`` selects the density ("pdf") or distribution function
+    ("cdf") at SNR x, E[Q(sqrt(2*SNR/x))] ("ber", x = 1/b), or
+    E[exp(-SNR/x)] ("mgf", x = 1/s).
+    """
+    if functional not in _FUNCTIONAL_TERMS:
+        raise ValueError(f"functional must be one of {tuple(_FUNCTIONAL_TERMS)}, got '{functional}'")
+    if x <= 0:
+        raise ValueError("requires x > 0")
+    n = len(elements)
+    if n > N_EXACT_MAX:
+        raise ExactCapExceeded(n)
+    nvars = n + (direct is not None)
+    a2 = tuple(c.hop1.alpha2 for c in elements)
+    half = tuple(a / 2.0 for a in a2)
+    terms = _element_terms(elements, nvars)
+    args = [(x / budget.gamma0_ris) ** h / cascade_coeffs(c)[1] for h, c in zip(half, elements)]
+    logc = math.log(0.5) + _log_element_coeff(elements) if elements else 0.0
+    if direct is not None:
+        ad2 = direct.alpha2
+        terms += [
+            GammaTerm(direct.beta2, _unit(nvars, n, 1.0)),
+            GammaTerm(direct.beta1, _unit(nvars, n, ad2 / direct.alpha1)),
+            GammaTerm(0.0, _unit(nvars, n, ad2 / 2.0), orientation=-1),
+        ]
+        args.append(dgg_psi_phi(direct)[1] * (x / budget.gamma0_d) ** (ad2 / 2.0))
+        logc += math.log(0.5) + _log_direct_coeff(direct)
+    if elements:
+        # the reflected SNR is the square of the summed element amplitudes
+        pad = (0.0,) * (nvars - n)
+        terms.append(GammaTerm(0.0, half + pad, orientation=-1))
+        terms.append(GammaTerm(0.0, a2 + pad, sign=-1, orientation=-1))
+    if direct is not None:
+        half += (direct.alpha2 / 2.0,)
+    for offset, sign in _FUNCTIONAL_TERMS[functional]:
+        terms.append(GammaTerm(offset, half, sign=sign, orientation=-1))
+    if functional == "pdf":
+        logc -= math.log(x)
+    elif functional == "ber":
+        logc -= 0.5 * math.log(4.0 * math.pi)
+    return logc, _build(args, terms)
 
 
 def gamma_pdf(stat: CombinedSnrStat, g: float, quad: QuadratureConfig = QuadratureConfig()) -> float:
     """Density of the combined SNR at g > 0."""
-    if g <= 0:
-        raise ValueError("requires g > 0")
-    _check_cap(stat.ensemble)
-    terms, _ = _combined_terms(stat, "pdf")
-    value, _ = eval_foxh(_build(_combined_args(stat, g), terms), quad)
-    return stat.coefficient / g * value
+    ens = stat.ensemble
+    logc, spec = snr_spec(ens.elements, ens.direct, stat.budget, "pdf", g)
+    return math.exp(logc) * eval_foxh(spec, quad)[0]
 
 
 def gamma_cdf(stat: CombinedSnrStat, g: float, quad: QuadratureConfig = QuadratureConfig()) -> float:
     """Distribution function of the combined SNR at g > 0."""
-    if g <= 0:
-        raise ValueError("requires g > 0")
-    _check_cap(stat.ensemble)
-    terms, _ = _combined_terms(stat, "cdf")
-    value, _ = eval_foxh(_build(_combined_args(stat, g), terms), quad)
-    return stat.coefficient * value
+    ens = stat.ensemble
+    logc, spec = snr_spec(ens.elements, ens.direct, stat.budget, "cdf", g)
+    return math.exp(logc) * eval_foxh(spec, quad)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +245,8 @@ def mgf_gamma_ris(
     """E[exp(-s * SNR_reflected)] for s > 0."""
     if s <= 0:
         raise ValueError("requires s > 0")
-    _check_cap(ensemble)
-    n = ensemble.n_elements
-    terms = _element_terms(ensemble, n)
-    terms.append(GammaTerm(0.0, _half_coeffs(ensemble, n, with_direct=False), orientation=-1))
-    terms.append(GammaTerm(0.0, _full_ris_coeffs(ensemble, n), sign=-1, orientation=-1))
-    args = _ris_args(ensemble, budget.gamma0_ris * s, -1.0)
-    value, _ = eval_foxh(_build(args, terms), quad)
-    return math.exp(math.log(0.5) + _log_element_coeff(ensemble)) * value
+    logc, spec = snr_spec(ensemble.elements, None, budget, "mgf", 1.0 / s)
+    return math.exp(logc) * eval_foxh(spec, quad)[0]
 
 
 def mgf_gamma_d(
@@ -272,8 +258,5 @@ def mgf_gamma_d(
     """E[exp(-s * SNR_direct)] for s > 0."""
     if s <= 0:
         raise ValueError("requires s > 0")
-    _, phi_d = dgg_psi_phi(direct)
-    terms = _direct_terms(direct, 1, 0)
-    arg = phi_d * (budget.gamma0_d * s) ** (-direct.alpha2 / 2.0)
-    value, _ = eval_foxh(_build([arg], terms), quad)
-    return math.exp(math.log(0.5) + _log_direct_coeff(direct)) * value
+    logc, spec = snr_spec((), direct, budget, "mgf", 1.0 / s)
+    return math.exp(logc) * eval_foxh(spec, quad)[0]

@@ -7,8 +7,7 @@ The value computed is
 
 over vertical lines t_i = contour_re[i] + i*y_i, where each Gamma factor's
 argument is affine in the contour variables. Quadrature is a truncated
-trapezoid tensor product for low dimension and randomized quasi-Monte-Carlo
-importance sampling beyond that.
+trapezoid tensor product over at most MAX_DIMS contour variables.
 
 Gamma factors whose argument involves a single contour variable are
 evaluated once per 1-D axis and broadcast; only the cross-variable factors
@@ -17,13 +16,14 @@ are evaluated on the full grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .special import log_gamma
 
 __all__ = [
+    "MAX_DIMS",
     "GammaTerm",
     "FoxHSpec",
     "QuadratureConfig",
@@ -32,12 +32,13 @@ __all__ = [
     "validate_contour",
     "suggest_anchors",
     "eval_foxh",
-    "eval_foxh_batch",
     "dump_spec",
 ]
 
+# The tensor grid grows as K^dims; beyond three variables it is out of
+# reach at desk scale.
+MAX_DIMS = 3
 _CHUNK_ROWS = 200_000
-_QMC_SEED = 0x5EED_F0C5  # fixed: results must be reproducible for a fixed config
 
 
 class NoValidContour(ValueError):
@@ -82,16 +83,12 @@ class QuadratureConfig:
     step: float = 0.08
     rel_tol: float = 1e-6
     max_refinements: int = 4
-    qmc_samples: int = 200_000
-    qmc_threshold_dims: int = 3
 
     def __post_init__(self):
         if min(self.half_length, self.step, self.rel_tol) <= 0:
             raise ValueError("half_length, step and rel_tol must be positive")
-        if self.max_refinements < 0 or self.qmc_samples <= 0:
-            raise ValueError("max_refinements and qmc_samples must be positive")
-        if self.qmc_threshold_dims < 2:
-            raise ValueError("qmc_threshold_dims must be >= 2")
+        if self.max_refinements < 0:
+            raise ValueError("max_refinements must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,6 @@ class FoxHSpec:
     args: tuple[complex, ...]
     terms: tuple[GammaTerm, ...]
     contour_re: tuple[float, ...]
-    validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(complex(a) for a in self.args))
@@ -112,11 +108,10 @@ class FoxHSpec:
                 raise ValueError("GammaTerm coefficient count must match num_vars")
         if any(not np.isfinite(a) or a == 0 for a in self.args):
             raise ValueError("arguments must be finite and nonzero")
-        if self.validate:
-            intervals = validate_contour(self)
-            for i, (lo, hi) in enumerate(intervals):
-                if not (lo < self.contour_re[i] < hi):
-                    raise NoValidContour(i, f"anchor {self.contour_re[i]} outside ({lo}, {hi})")
+        intervals = validate_contour(self)
+        for i, (lo, hi) in enumerate(intervals):
+            if not (lo < self.contour_re[i] < hi):
+                raise NoValidContour(i, f"anchor {self.contour_re[i]} outside ({lo}, {hi})")
 
     @property
     def num_vars(self) -> int:
@@ -377,62 +372,16 @@ def _from_log(log_scale: float, raw: complex) -> complex:
     return math.exp(min(log_scale + math.log(mag), 700.0)) * (raw / mag)
 
 
-def _eval_qmc(spec: FoxHSpec, quad: QuadratureConfig):
-    from scipy.stats import qmc
-
-    n = spec.num_vars
-    T = _scan_truncation(spec, quad)
-    # Per-dimension Laplace importance proposals matched to the scanned decay.
-    lam = -np.log(1e-10) / T
-    base = float(np.real(_log_at(spec, np.zeros((1, n)))[0]))
-    norm = (2.0 * math.pi) ** n
-    replicates = 8
-    # round up to a power of two: Sobol balance needs it
-    samples = 1 << (quad.qmc_samples - 1).bit_length()
-    ests = []
-    for r in range(replicates):
-        sob = qmc.Sobol(d=n, scramble=True, seed=_QMC_SEED + r)
-        u = sob.random(samples)
-        # inverse CDF of Laplace(lam) truncated to [-T, T]
-        mass = 1.0 - np.exp(-lam * T)
-        centered = 2.0 * u - 1.0
-        y = -np.sign(centered) * np.log1p(-np.abs(centered) * mass) / lam
-        log_q = np.sum(np.log(lam / (2.0 * mass)) - lam * np.abs(y), axis=1)
-        chunk_means = []
-        for start in range(0, samples, _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, samples)
-            logv = _log_at(spec, y[start:stop]) - base - log_q[start:stop]
-            chunk_means.append(np.exp(logv).sum())
-        total = complex(math.fsum(c.real for c in chunk_means), math.fsum(c.imag for c in chunk_means))
-        ests.append(math.exp(base) * total.real / samples / norm)
-    value = float(np.mean(ests))
-    err = float(np.std(ests, ddof=1) / math.sqrt(replicates))
-    if err > 0.05 * (abs(value) + 1e-300):
-        raise NotConverged(err, value)
-    return value, err
-
-
 def eval_foxh(spec: FoxHSpec, quad: QuadratureConfig = QuadratureConfig()):
     """Evaluate the contour integral; returns (real value, error estimate).
 
-    The error estimate is the step-halving delta for the tensor route and
-    the QMC standard error beyond qmc_threshold_dims contour variables.
+    The error estimate is the disagreement of the trapezoid and offset
+    midpoint grids, floored at the cancellation noise. Specs with more
+    than MAX_DIMS contour variables are rejected before any evaluation.
     """
-    validate_contour(spec)
-    if spec.num_vars <= quad.qmc_threshold_dims:
-        return _eval_tensor(spec, quad)
-    return _eval_qmc(spec, quad)
-
-
-def eval_foxh_batch(specs, quad: QuadratureConfig = QuadratureConfig()):
-    """Elementwise eval_foxh; failed entries become (nan, inf), order kept."""
-    out = []
-    for spec in specs:
-        try:
-            out.append(eval_foxh(spec, quad))
-        except (NoValidContour, NotConverged, ValueError):
-            out.append((math.nan, math.inf))
-    return out
+    if spec.num_vars > MAX_DIMS:
+        raise ValueError(f"{spec.num_vars} contour variables; the evaluator takes at most {MAX_DIMS}")
+    return _eval_tensor(spec, quad)
 
 
 def dump_spec(spec: FoxHSpec, fh) -> None:

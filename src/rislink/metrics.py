@@ -13,17 +13,8 @@ from itertools import combinations_with_replacement
 
 from .channel import LinkBudget
 from .dgg import CascadeParams, DggParams, cascade_coeffs, cascade_shapes, dgg_psi_phi
-from .exact_stats import (
-    CombinedSnrStat,
-    RisEnsemble,
-    _check_cap,
-    _combined_args,
-    _combined_terms,
-    _direct_terms,
-    _log_direct_coeff,
-    gamma_cdf,
-)
-from .foxh import GammaTerm, QuadratureConfig, eval_foxh
+from .exact_stats import CombinedSnrStat, RisEnsemble, gamma_cdf, snr_spec
+from .foxh import QuadratureConfig, eval_foxh
 
 __all__ = [
     "ModulationParams",
@@ -61,7 +52,10 @@ def outage_exact(
     stat: CombinedSnrStat, gamma_th: float, quad: QuadratureConfig = QuadratureConfig()
 ) -> float:
     """P(combined SNR <= gamma_th), exact."""
-    return gamma_cdf(stat, gamma_th, quad)
+    outage = gamma_cdf(stat, gamma_th, quad)
+    if not 0.0 < outage <= 1.0:
+        raise RuntimeError(f"outage {outage} outside (0, 1]; evaluation unreliable")
+    return outage
 
 
 def ber_exact(
@@ -74,15 +68,16 @@ def ber_exact(
     the CDF's own contour integral as one extra Gamma factor and a
     rescaling of the SNR arguments by b.
     """
-    _check_cap(stat.ensemble)
-    terms, _ = _combined_terms(stat, "ber")
-    from .exact_stats import _build
-
-    value, _ = eval_foxh(_build(_combined_args(stat, 1.0 / mod.b), terms), quad)
-    ber = mod.a / math.sqrt(4.0 * math.pi) * stat.coefficient * value
+    ens = stat.ensemble
+    ber = _average_ber(ens.elements, ens.direct, stat.budget, mod, quad)
     if not 0.0 < ber < 1.0:
         raise RuntimeError(f"average BER {ber} outside (0, 1); evaluation unreliable")
     return ber
+
+
+def _average_ber(elements, direct, budget: LinkBudget, mod: ModulationParams, quad) -> float:
+    logc, spec = snr_spec(elements, direct, budget, "ber", 1.0 / mod.b)
+    return mod.a * math.exp(logc) * eval_foxh(spec, quad)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +207,10 @@ def outage_asymptotic(stat: CombinedSnrStat, gamma_th: float) -> float:
                 math.gamma(2.0 * sigma_half_ris) * math.gamma(1.0 + sigma_half_ris + half_d)
             )
             total += weight * r_d * cross
-    return stat.coefficient * total
+    outage = stat.coefficient * total
+    if not 0.0 < outage <= 1.0:
+        raise RuntimeError(f"asymptotic outage {outage} outside (0, 1]; power too low for the asymptote")
+    return outage
 
 
 def _multiset_permutations(combo, count: int) -> int:
@@ -249,6 +247,12 @@ def diversity(ensemble: RisEnsemble) -> DiversityReport:
 # single-branch baselines (degenerate members of the same contour family)
 
 
+def _branch_outage_ber(elements, direct, budget, gamma_th, mod, quad) -> tuple[float, float]:
+    logc, spec = snr_spec(elements, direct, budget, "cdf", gamma_th)
+    outage = math.exp(logc) * eval_foxh(spec, quad)[0]
+    return outage, _average_ber(elements, direct, budget, mod, quad)
+
+
 def baseline_dt(
     direct: DggParams,
     budget: LinkBudget,
@@ -257,24 +261,7 @@ def baseline_dt(
     quad: QuadratureConfig = QuadratureConfig(),
 ) -> tuple[float, float]:
     """(outage, average BER) of direct transmission alone."""
-    from .exact_stats import _build
-
-    if gamma_th <= 0:
-        raise ValueError("requires gamma_th > 0")
-    _, phi_d = dgg_psi_phi(direct)
-    coeff = math.exp(math.log(0.5) + _log_direct_coeff(direct))
-    half = direct.alpha2 / 2.0
-
-    cdf_terms = _direct_terms(direct, 1, 0) + [GammaTerm(1.0, (half,), sign=-1, orientation=-1)]
-    arg = phi_d * (gamma_th / budget.gamma0_d) ** half
-    value, _ = eval_foxh(_build([arg], cdf_terms), quad)
-    outage = coeff * value
-
-    ber_terms = cdf_terms + [GammaTerm(0.5, (half,), orientation=-1)]
-    arg = phi_d * (1.0 / (mod.b * budget.gamma0_d)) ** half
-    value, _ = eval_foxh(_build([arg], ber_terms), quad)
-    ber = mod.a / math.sqrt(4.0 * math.pi) * coeff * value
-    return outage, ber
+    return _branch_outage_ber((), direct, budget, gamma_th, mod, quad)
 
 
 def baseline_ris(
@@ -285,37 +272,4 @@ def baseline_ris(
     quad: QuadratureConfig = QuadratureConfig(),
 ) -> tuple[float, float]:
     """(outage, average BER) of the reflected branch alone (no direct link)."""
-    from .exact_stats import (
-        _build,
-        _element_terms,
-        _full_ris_coeffs,
-        _half_coeffs,
-        _log_element_coeff,
-        _ris_args,
-    )
-
-    if gamma_th <= 0:
-        raise ValueError("requires gamma_th > 0")
-    _check_cap(ensemble)
-    n = ensemble.n_elements
-    coeff = math.exp(math.log(0.5) + _log_element_coeff(ensemble))
-    half = _half_coeffs(ensemble, n, with_direct=False)
-    full = _full_ris_coeffs(ensemble, n)
-
-    base = _element_terms(ensemble, n)
-    base.append(GammaTerm(0.0, half, orientation=-1))
-    base.append(GammaTerm(0.0, full, sign=-1, orientation=-1))
-
-    cdf_terms = base + [GammaTerm(1.0, half, sign=-1, orientation=-1)]
-    args = _ris_args(ensemble, gamma_th / budget.gamma0_ris, +1.0)
-    value, _ = eval_foxh(_build(args, cdf_terms), quad)
-    outage = coeff * value
-
-    ber_terms = base + [
-        GammaTerm(0.5, half, orientation=-1),
-        GammaTerm(1.0, half, sign=-1, orientation=-1),
-    ]
-    args = _ris_args(ensemble, 1.0 / (mod.b * budget.gamma0_ris), +1.0)
-    value, _ = eval_foxh(_build(args, ber_terms), quad)
-    ber = mod.a / math.sqrt(4.0 * math.pi) * coeff * value
-    return outage, ber
+    return _branch_outage_ber(ensemble.elements, None, budget, gamma_th, mod, quad)

@@ -3,8 +3,7 @@
 This module is the independent verification route: it never touches the
 contour-integral evaluator. Work is split into fixed-size units, each
 with its own seed derived from (master_seed, unit index), so estimates
-are bit-reproducible and independent of how units are grouped into
-batches.
+are bit-reproducible.
 """
 from __future__ import annotations
 
@@ -33,7 +32,7 @@ __all__ = [
 SCENARIOS = ("combined", "ris_only", "dt_only", "df_relay")
 
 # Trials per seeding unit. Estimates depend only on (plan, master_seed),
-# never on batch grouping, because every unit owns a dedicated stream.
+# because every unit owns a dedicated stream.
 UNIT_TRIALS = 100_000
 
 
@@ -54,16 +53,11 @@ class SimPlan:
     pt_dbm: float
     n_trials: int = 1_000_000
     master_seed: int = 0
-    # Scheduling granularity only (units per worker); seeding is always
-    # per fixed-size unit, so estimates never depend on this value.
-    batch_size: int = UNIT_TRIALS
     scenario: str = "combined"
 
     def __post_init__(self):
         if self.n_trials < 10_000:
             raise ValueError(f"n_trials must be >= 10000, got {self.n_trials}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got '{self.scenario}'")
 

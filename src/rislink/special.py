@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.special
 
-__all__ = ["PoleError", "log_gamma", "gamma_ratio_log"]
+__all__ = ["PoleError", "log_gamma"]
 
 
 class PoleError(ValueError):
@@ -49,22 +49,3 @@ def log_gamma(z):
     out = scipy.special.loggamma(z)
     return complex(out[0]) if scalar else out
 
-
-def gamma_ratio_log(num, den):
-    """log of prod Gamma(num_i) / prod Gamma(den_j), paired to limit growth.
-
-    Arguments are sequences of (complex) Gamma arguments. Pairs are
-    subtracted term by term before the leftovers are summed, which keeps
-    intermediate magnitudes small when the two lists nearly cancel.
-    """
-    num = [np.asarray(v, dtype=complex) for v in num]
-    den = [np.asarray(v, dtype=complex) for v in den]
-    total = 0.0 + 0.0j
-    for a, b in zip(num, den):
-        total = total + (log_gamma(a) - log_gamma(b))
-    k = min(len(num), len(den))
-    for a in num[k:]:
-        total = total + log_gamma(a)
-    for b in den[k:]:
-        total = total - log_gamma(b)
-    return total

@@ -127,15 +127,26 @@ def test_run_sweep_columns_and_rows():
     assert result.columns == ("pt_dbm", "outage_exact", "outage_asymptotic", "outage_mc", "outage_mc_se")
     assert len(result.rows) == 2
     assert result.rows[0][0] == 10.0 and result.rows[1][0] == 20.0
-    for row in result.rows:
-        assert all(v is not None for v in row)
+    # the high-SNR asymptote leaves (0, 1] at these powers: empty cell, warning
+    for row, pt in zip(result.rows, ("10", "20")):
+        assert row[2] is None
+        assert all(v is not None for i, v in enumerate(row) if i != 2)
+        assert any(w.startswith(f"outage_asymptotic failed at pt={pt} dBm") for w in result.warnings)
+    assert len(result.warnings) == 2
     meta = dict(result.metadata)
     assert meta["config_hash"] == config_hash(cfg)
     assert meta["n_elements"] == "1"
 
+    high = run_sweep(replace(cfg, pt_dbm=(150.0,), methods=("asymptotic",)), "outage")
+    assert not high.warnings
+    assert 0.0 < high.rows[0][1] <= 1.0
 
-def test_run_sweep_exact_fallback_above_cap():
-    cfg = parse_config_text("n_elements = 6\nfading_preset = FP1\npt_dbm = 20\nmc_trials = 20000\n")
+
+@pytest.mark.parametrize("n_elements", [3, 6])
+def test_run_sweep_exact_fallback_above_cap(n_elements):
+    cfg = parse_config_text(
+        f"n_elements = {n_elements}\nfading_preset = FP1\npt_dbm = 20\nmc_trials = 20000\n"
+    )
     result = run_sweep(cfg, "outage")
     assert result.warnings
     assert "outage_exact" not in result.columns
@@ -229,6 +240,34 @@ def test_cli_foxh_eval(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "value = 8.208" in out  # exp(-2.5)
     assert "err_estimate" in out
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # Gamma(t) Gamma(-t): the two pole families leave no contour between them
+        {
+            "args": [1.0],
+            "terms": [{"offset": 0.0, "coeffs": [1.0]}, {"offset": 0.0, "coeffs": [1.0], "orientation": -1}],
+        },
+        # four contour variables: more than the evaluator takes
+        {
+            "args": [0.5, 1.0, 1.5, 0.8],
+            "terms": [
+                {"offset": 0.0, "coeffs": [1.0 if j == i else 0.0 for j in range(4)]} for i in range(4)
+            ],
+        },
+        {"args": [2.5]},
+    ],
+    ids=["empty-contour", "four-variables", "missing-terms"],
+)
+def test_cli_foxh_eval_invalid_spec_is_error(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["foxh-eval", "--config", str(path), "--quiet"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "value =" not in captured.out
 
 
 def test_cli_verify_deterministic_subprocess(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 
 from rislink.channel import budget
 from rislink.config import default_geometry, preset_fading
-from rislink.dgg import cascade_sample, dgg_sample
+from rislink.dgg import cascade_coeffs, cascade_sample, cascade_shapes, dgg_psi_phi, dgg_sample
 from rislink.exact_stats import (
     N_EXACT_MAX,
     ExactCapExceeded,
@@ -23,7 +23,9 @@ from rislink.exact_stats import (
     hris_pdf,
     mgf_gamma_d,
     mgf_gamma_ris,
+    snr_spec,
 )
+from rislink.foxh import GammaTerm, suggest_anchors
 
 CASCADE, DIRECT = preset_fading("FP1")
 BUD = budget(default_geometry(), 20.0)
@@ -138,6 +140,33 @@ def test_gamma_cdf_monotone_in_threshold_and_power():
     assert gamma_cdf(stat, 0.5) < gamma_cdf(stat, 2.0)
     stronger = combined_snr_stat(stat.ensemble, budget(default_geometry(), 30.0))
     assert gamma_cdf(stronger, 1.0) < gamma_cdf(stat, 1.0)
+
+
+def test_snr_spec_matches_combined_cdf_term_for_term():
+    # The combined CDF at N=1 written out factor by factor: variable 0 is
+    # the element, variable 1 the direct link.
+    g = 2.0
+    a2, ad2 = CASCADE.hop1.alpha2, DIRECT.alpha2
+    terms = [GammaTerm(beta, (a2 / alpha, 0.0)) for alpha, beta in cascade_shapes(CASCADE)]
+    terms += [
+        GammaTerm(0.0, (a2, 0.0), orientation=-1),
+        GammaTerm(DIRECT.beta2, (0.0, 1.0)),
+        GammaTerm(DIRECT.beta1, (0.0, ad2 / DIRECT.alpha1)),
+        GammaTerm(0.0, (0.0, ad2 / 2.0), orientation=-1),
+        GammaTerm(0.0, (a2 / 2.0, 0.0), orientation=-1),
+        GammaTerm(0.0, (a2, 0.0), sign=-1, orientation=-1),
+        GammaTerm(1.0, (a2 / 2.0, ad2 / 2.0), sign=-1, orientation=-1),
+    ]
+    args = (
+        (g / BUD.gamma0_ris) ** (a2 / 2.0) / cascade_coeffs(CASCADE)[1],
+        dgg_psi_phi(DIRECT)[1] * (g / BUD.gamma0_d) ** (ad2 / 2.0),
+    )
+    stat = make_stat(1)
+    logc, spec = snr_spec(stat.ensemble.elements, DIRECT, BUD, "cdf", g)
+    assert spec.terms == tuple(terms)
+    assert spec.args == args
+    assert spec.contour_re == suggest_anchors(terms, 2)
+    assert logc == pytest.approx(stat.log_coefficient, rel=1e-14)
 
 
 def test_element_cap_enforced():

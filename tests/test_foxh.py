@@ -12,14 +12,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import kv
 
+from rislink import foxh
 from rislink.foxh import (
+    MAX_DIMS,
     FoxHSpec,
     GammaTerm,
     NoValidContour,
     QuadratureConfig,
     dump_spec,
     eval_foxh,
-    eval_foxh_batch,
     suggest_anchors,
     validate_contour,
 )
@@ -157,38 +158,17 @@ def test_cross_term_two_variable_binomial():
     assert value == pytest.approx((1.0 + 0.8 + 1.5) ** -a, rel=1e-7)
 
 
-def test_qmc_route_beyond_three_variables():
-    # four separable exponential factors force the sampling route
-    n = 4
+def test_more_than_max_dims_rejected_before_evaluation(monkeypatch):
+    n = MAX_DIMS + 1
     terms = tuple(GammaTerm(0.0, tuple(1.0 if j == i else 0.0 for j in range(n))) for i in range(n))
-    args = (0.5, 1.0, 1.5, 0.8)
-    spec = FoxHSpec(args=args, terms=terms, contour_re=(1.0,) * n)
-    value, err = eval_foxh(spec)
-    expected = math.exp(-sum(args))
-    assert value == pytest.approx(expected, rel=0.15)
-    assert err > 0
+    spec = FoxHSpec(args=(1.0,) * n, terms=terms, contour_re=(1.0,) * n)
 
+    def no_evaluation(z):
+        raise AssertionError("log_gamma evaluated for a rejected spec")
 
-def test_qmc_reproducible():
-    n = 4
-    terms = tuple(GammaTerm(0.0, tuple(1.0 if j == i else 0.0 for j in range(n))) for i in range(n))
-    spec = FoxHSpec(args=(0.5, 1.0, 1.5, 0.8), terms=terms, contour_re=(1.0,) * n)
-    quad = QuadratureConfig(qmc_samples=4096)
-    assert eval_foxh(spec, quad) == eval_foxh(spec, quad)
-
-
-def test_batch_keeps_order_and_maps_failures():
-    good = exp_spec(1.0)
-    bad = FoxHSpec(
-        args=(1.0,),
-        terms=(GammaTerm(0.0, (1.0,)), GammaTerm(0.0, (1.0,), orientation=-1)),
-        contour_re=(0.5,),
-        validate=False,
-    )
-    out = eval_foxh_batch([good, bad, exp_spec(2.0)])
-    assert out[0][0] == pytest.approx(math.exp(-1.0), rel=1e-8)
-    assert math.isnan(out[1][0]) and math.isinf(out[1][1])
-    assert out[2][0] == pytest.approx(math.exp(-2.0), rel=1e-8)
+    monkeypatch.setattr(foxh, "log_gamma", no_evaluation)
+    with pytest.raises(ValueError, match=f"at most {MAX_DIMS}"):
+        eval_foxh(spec)
 
 
 def test_dump_spec_mentions_every_term(tmp_path):
@@ -222,7 +202,5 @@ def test_binomial_identity_property(z, a):
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(step=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(qmc_threshold_dims=1)
     with pytest.raises(ValueError):
         GammaTerm(0.0, (1.0,), sign=2)

@@ -1,4 +1,4 @@
-"""Monte-Carlo route: determinism, batch invariance, and moment checks."""
+"""Monte-Carlo route: determinism and moment checks."""
 import math
 from dataclasses import replace
 
@@ -11,7 +11,6 @@ from rislink.dgg import cascade_moment, dgg_moment, dgg_sample
 from rislink.metrics import ModulationParams
 from rislink.montecarlo import (
     SCENARIOS,
-    UNIT_TRIALS,
     DegenerateEstimate,
     SimPlan,
     _df_hop_budgets,
@@ -48,16 +47,6 @@ def test_seed_changes_estimate():
     assert a != b
     # but only at the Monte-Carlo noise level
     assert a == pytest.approx(b, abs=0.01)
-
-
-def test_batch_size_never_affects_estimates():
-    base = make_plan(trials=250_000)
-    ref_out = estimate_outage(base, 1.0)
-    ref_ber = estimate_ber(base, MOD)
-    for batch in (1, 7, UNIT_TRIALS, 10 * UNIT_TRIALS):
-        plan = replace(base, batch_size=batch)
-        assert estimate_outage(plan, 1.0) == ref_out
-        assert estimate_ber(plan, MOD) == ref_ber
 
 
 def test_partial_last_unit_consistent():
@@ -135,8 +124,6 @@ def test_plan_validation():
         make_plan(trials=100)
     with pytest.raises(ValueError):
         make_plan(scenario="bogus")
-    with pytest.raises(ValueError):
-        replace(make_plan(), batch_size=0)
     assert set(SCENARIOS) == {"combined", "ris_only", "dt_only", "df_relay"}
 
 

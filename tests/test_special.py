@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rislink.special import PoleError, gamma_ratio_log, log_gamma
+from rislink.special import PoleError, log_gamma
 
 # High-precision reference values, computed with mpmath at 40 digits.
 MPMATH_REFERENCE = [
@@ -48,26 +48,6 @@ def test_pole_rejection():
 def test_nan_rejected():
     with pytest.raises(ValueError):
         log_gamma(complex(float("nan"), 0.0))
-
-
-def test_ratio_identity():
-    assert gamma_ratio_log([2.0], [2.0]) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_ratio_small_integers():
-    # Gamma(5)/Gamma(3) = 24/2 = 12
-    assert gamma_ratio_log([5.0], [3.0]).real == pytest.approx(math.log(12.0), rel=1e-13)
-
-
-def test_ratio_complex_reference():
-    got = gamma_ratio_log([10.5 + 1j], [0.5 + 1j])
-    assert got.real == pytest.approx(14.5435399783397608836, rel=1e-12)
-    assert got.imag == pytest.approx(3.2596663471145918844, rel=1e-12, abs=1e-12)
-
-
-def test_ratio_unbalanced_lists():
-    got = gamma_ratio_log([3.0, 4.0], [2.0])
-    assert got.real == pytest.approx(math.log(2.0 * 6.0 / 1.0), rel=1e-12)
 
 
 finite_z = st.builds(
