@@ -27,6 +27,19 @@ RIS_PRESETS = ("FP1", "FP2", "FP3")
 PT_DBM = [float(p) for p in range(-10, 31, 5)]
 
 
+def outage_cell(plan: SimPlan, gamma_th: float, label: str) -> float | None:
+    """Outage estimate, or None (an empty CSV cell) with the reason on stderr.
+
+    A DegenerateEstimate (no outage events seen) says its rule-of-three
+    upper bound in that message.
+    """
+    try:
+        return estimate_outage(plan, gamma_th).mean
+    except RuntimeError as exc:
+        print(f"warning: {label} outage at {plan.pt_dbm:g} dBm left empty: {exc}", file=sys.stderr)
+        return None
+
+
 def mixed_system(ris_preset: str, n: int) -> SystemConfig:
     """FP1 direct link combined with the requested reflected-link preset."""
     cascade, _ = preset_fading(ris_preset)
@@ -59,11 +72,7 @@ def main() -> int:
         dt = SimPlan(
             config=base, pt_dbm=pt, n_trials=args.trials, master_seed=args.seed, scenario="dt_only"
         )
-        try:
-            dt_out = estimate_outage(dt, gamma_th).mean
-        except RuntimeError:
-            dt_out = 0.0
-        row = [pt, dt_out, estimate_ber(dt, mod).mean]
+        row = [pt, outage_cell(dt, gamma_th, "dt"), estimate_ber(dt, mod).mean]
         for preset, n in combos:
             plan = SimPlan(
                 config=mixed_system(preset, n),
@@ -72,10 +81,7 @@ def main() -> int:
                 master_seed=args.seed,
                 scenario="combined",
             )
-            try:
-                row.append(estimate_outage(plan, gamma_th).mean)
-            except RuntimeError:
-                row.append(0.0)
+            row.append(outage_cell(plan, gamma_th, f"{preset} N={n}"))
             row.append(estimate_ber(plan, mod).mean)
         rows.append(row)
         print(f"pt={pt:g} dBm done", file=sys.stderr)

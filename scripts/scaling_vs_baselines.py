@@ -19,10 +19,23 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from rislink.config import preset_system
 from rislink.metrics import ModulationParams
-from rislink.montecarlo import SimPlan, baseline_df_relay, estimate_ber, estimate_outage
+from rislink.montecarlo import SimPlan, estimate_ber, estimate_outage
 
 ELEMENT_COUNTS = (10, 20, 50)
 PT_DBM = [float(p) for p in range(0, 31, 5)]
+
+
+def outage_cell(plan: SimPlan, gamma_th: float, label: str) -> float | None:
+    """Outage estimate, or None (an empty CSV cell) with the reason on stderr.
+
+    A DegenerateEstimate (no outage events seen) says its rule-of-three
+    upper bound in that message.
+    """
+    try:
+        return estimate_outage(plan, gamma_th).mean
+    except RuntimeError as exc:
+        print(f"warning: {label} outage at {plan.pt_dbm:g} dBm left empty: {exc}", file=sys.stderr)
+        return None
 
 
 def main() -> int:
@@ -44,28 +57,21 @@ def main() -> int:
     rows = []
     for pt in PT_DBM:
         cfg = preset_system("FP1", 1)
-        plan = SimPlan(config=cfg, pt_dbm=pt, n_trials=args.trials, master_seed=args.seed)
         dt = SimPlan(config=cfg, pt_dbm=pt, n_trials=args.trials, master_seed=args.seed, scenario="dt_only")
-        try:
-            dt_out = estimate_outage(dt, gamma_th).mean
-        except RuntimeError:
-            dt_out = 0.0
-        dt_ber = estimate_ber(dt, mod).mean
-        try:
-            df_out, df_ber = baseline_df_relay(plan, gamma_th, mod)
-            df_out, df_ber = df_out.mean, df_ber.mean
-        except RuntimeError:
-            df_out, df_ber = 0.0, float("nan")
-        row = [pt, dt_out, df_out, dt_ber, df_ber]
+        df = SimPlan(config=cfg, pt_dbm=pt, n_trials=args.trials, master_seed=args.seed, scenario="df_relay")
+        row = [
+            pt,
+            outage_cell(dt, gamma_th, "dt"),
+            outage_cell(df, gamma_th, "df relay"),
+            estimate_ber(dt, mod).mean,
+            estimate_ber(df, mod).mean,
+        ]
         for n in ELEMENT_COUNTS:
             cfg_n = preset_system("FP1", n)
             ris = SimPlan(
                 config=cfg_n, pt_dbm=pt, n_trials=args.trials, master_seed=args.seed, scenario="ris_only"
             )
-            try:
-                row.append(estimate_outage(ris, gamma_th).mean)
-            except RuntimeError:
-                row.append(0.0)
+            row.append(outage_cell(ris, gamma_th, f"RIS N={n}"))
             row.append(estimate_ber(ris, mod).mean)
         rows.append(row)
         print(f"pt={pt:g} dBm done", file=sys.stderr)

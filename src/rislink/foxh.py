@@ -10,8 +10,11 @@ argument is affine in the contour variables. Quadrature is a truncated
 trapezoid tensor product over at most MAX_DIMS contour variables.
 
 Gamma factors whose argument involves a single contour variable are
-evaluated once per 1-D axis and broadcast; only the cross-variable factors
-are evaluated on the full grid.
+evaluated once per 1-D axis. Variables whose coefficients agree in every
+cross-variable factor form a class: on the shared-step grid those factors
+see only the sum of the class's grid indices, so the class's axis weights
+are convolved onto one lattice, and each cross factor is evaluated once
+per point of the lattice of the classes it involves.
 """
 from __future__ import annotations
 
@@ -35,9 +38,12 @@ __all__ = [
     "dump_spec",
 ]
 
-# The tensor grid grows as K^dims; beyond three variables it is out of
-# reach at desk scale.
+# Variables in one class cost a convolution, but distinct classes still
+# span a K^classes table. The cap (and N_EXACT_MAX = MAX_DIMS - 1 with it)
+# stays until N>=3 is validated against the planned conditional
+# Monte-Carlo oracle.
 MAX_DIMS = 3
+# lattice points of the cross table evaluated per chunk
 _CHUNK_ROWS = 200_000
 
 
@@ -188,7 +194,12 @@ def suggest_anchors(terms, num_vars: int) -> tuple[float, ...]:
 
 
 def _split_terms(spec: FoxHSpec):
-    """Partition factors into per-variable groups and cross-variable ones."""
+    """Partition factors into per-variable groups and cross-variable ones.
+
+    Also groups the variables into classes: variables whose columns of
+    effective coefficients across the cross factors are identical enter
+    every cross factor only through the sum of their contour values.
+    """
     per_var = [[] for _ in range(spec.num_vars)]
     cross = []
     for term in spec.terms:
@@ -197,7 +208,11 @@ def _split_terms(spec: FoxHSpec):
             per_var[active[0]].append(term)
         else:
             cross.append(term)
-    return per_var, cross
+    columns = np.array([term.effective_coeffs() for term in cross]).reshape(len(cross), spec.num_vars)
+    classes: dict[tuple, list[int]] = {}
+    for i in range(spec.num_vars):
+        classes.setdefault(tuple(columns[:, i]), []).append(i)
+    return per_var, cross, list(classes.values())
 
 
 def _axis_logs(spec: FoxHSpec, per_var, axes_y):
@@ -253,47 +268,102 @@ def _scan_truncation(spec: FoxHSpec, quad: QuadratureConfig) -> np.ndarray:
     return np.minimum(np.maximum(T + 1.0, 4.0), quad.half_length)
 
 
-def _tensor_pass(spec: FoxHSpec, cross, axis_logs, axes_y, T):
-    """One equal-weight pass over a tensor grid.
+def _class_weights(members, axis_logs, axes_y, T):
+    """Axis weights of one variable class, convolved onto its sum lattice.
+
+    Returns the log level factored out of the weights and the signed,
+    inner-box (every |y_i| <= T_i - 1) and absolute weights. Direct
+    convolution, not an FFT: the FFT's absolute error would swamp the
+    signed cancellation.
+    """
+    level = 0.0
+    signed = inner = absolute = np.ones(1)
+    for i in members:
+        axis_level = float(np.max(axis_logs[i].real))
+        level += axis_level
+        w = np.exp(axis_logs[i] - axis_level)
+        signed = np.convolve(signed, w)
+        inner = np.convolve(inner, np.where(np.abs(axes_y[i]) <= T[i] - 1.0, w, 0.0))
+        absolute = np.convolve(absolute, np.abs(w))
+    return level, (signed, inner, absolute)
+
+
+def _cross_log(terms, classes, anchors, coords):
+    """Sum of the factors' sign * log Gamma on the outer grid of the class lattices.
+
+    coords[c] holds the y-sums of class c; a factor is evaluated only along
+    the classes it involves and broadcasts along the others.
+    """
+    acc = 0.0
+    for term in terms:
+        eff = term.effective_coeffs()
+        imag = 0.0
+        for c, members in enumerate(classes):
+            if eff[members[0]]:
+                shape = [1] * len(classes)
+                shape[c] = -1
+                imag = imag + eff[members[0]] * coords[c].reshape(shape)
+        acc = acc + term.sign * log_gamma(term.offset + eff @ anchors + 1j * imag)
+    return acc
+
+
+def _contract(x: np.ndarray, weights) -> complex:
+    """sum over the class lattice of x * prod_c weights[c], last axis first."""
+    for w in reversed(weights):
+        x = x @ w
+    return complex(x)
+
+
+def _tensor_pass(spec: FoxHSpec, cross, classes, axis_logs, axes_y, h, T):
+    """One equal-weight pass over the tensor grid, summed class by class.
+
+    The variables of a class share their column of cross-factor
+    coefficients, and every axis shares the step h, so each cross factor
+    depends on a class's members only through the integer sum of their
+    grid indices. The per-axis weights are convolved within each class,
+    each cross factor is evaluated once on the lattice of the classes it
+    involves, and the table is contracted against the class weights. With
+    singleton classes this is the plain tensor sum.
 
     Returns raw sums of exp(log integrand - ref) over the full grid, the
     outer band (any |y_i| > T_i - 1, kept *signed* so the oscillatory
     cancellation that shrinks the true tail is reflected), and the
-    absolute mass; ref is the max axis log level, factored out to avoid
-    overflow.
+    absolute mass; ref is the log level factored out to avoid overflow.
     """
-    n = spec.num_vars
-    sizes = [a.size for a in axes_y]
-    ref = float(sum(np.max(np.real(g)) for g in axis_logs))
-    shifted = [g - ref / n for g in axis_logs]
-
     anchors = np.asarray(spec.contour_re)
-    total_chunks = []
-    band_chunks = []
-    absmass_chunks = []
-    nrows = int(np.prod(sizes))
-    for start in range(0, nrows, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, nrows)
-        idx = np.unravel_index(np.arange(start, stop), sizes)
-        logv = shifted[0][idx[0]].copy()
-        for i in range(1, n):
-            logv += shifted[i][idx[i]]
-        if cross:
-            y = np.column_stack([axes_y[i][idx[i]] for i in range(n)])
-            t = anchors + 1j * y
-            for term in cross:
-                logv += term.sign * log_gamma(term.argument(t))
-        v = np.exp(logv)
-        total_chunks.append(v.sum())
-        absmass_chunks.append(np.abs(v).sum())
-        band = np.zeros(stop - start, dtype=bool)
-        for i in range(n):
-            band |= np.abs(axes_y[i][idx[i]]) > T[i] - 1.0
-        band_chunks.append(v[band].sum())
-    total = complex(math.fsum(c.real for c in total_chunks), math.fsum(c.imag for c in total_chunks))
-    band = complex(math.fsum(c.real for c in band_chunks), math.fsum(c.imag for c in band_chunks))
-    absmass = math.fsum(absmass_chunks)
-    return total, band, absmass, ref
+    ref = 0.0
+    signed, inner, absolute, lattices = [], [], [], []
+    for members in classes:
+        level, (w, w_inner, w_abs) = _class_weights(members, axis_logs, axes_y, T)
+        ref += level
+        signed.append(w)
+        inner.append(w_inner)
+        absolute.append(w_abs)
+        lattices.append(sum(axes_y[i][0] for i in members) + h * np.arange(w.size))
+    rest = tuple(lat.size for lat in lattices[1:])
+
+    # Factors off the leading class are evaluated once and broadcast; the
+    # others chunk by chunk along the leading class lattice.
+    lead = classes[0][0]
+    fixed = _cross_log([t for t in cross if not t.effective_coeffs()[lead]], classes, anchors, lattices)
+    lead_terms = [t for t in cross if t.effective_coeffs()[lead]]
+    rows = max(1, _CHUNK_ROWS // math.prod(rest))
+    levels, sums = [], []
+    for start in range(0, lattices[0].size, rows):
+        rs = slice(start, start + rows)
+        coords = [lattices[0][rs]] + lattices[1:]
+        logx = fixed + _cross_log(lead_terms, classes, anchors, coords)
+        levels.append(float(np.max(np.real(logx))))
+        x = np.broadcast_to(np.exp(logx - levels[-1]), (coords[0].size,) + rest)
+        sums.append((
+            _contract(x, [signed[0][rs]] + signed[1:]),
+            _contract(x, [inner[0][rs]] + inner[1:]),
+            _contract(np.abs(x), [absolute[0][rs]] + absolute[1:]),
+        ))
+    top = max(levels)
+    sums = np.array(sums) * np.exp(np.array(levels) - top)[:, None]
+    total, in_box, absmass = (complex(math.fsum(s.real), math.fsum(s.imag)) for s in sums.T)
+    return total, total - in_box, absmass.real, ref + top
 
 
 def _make_axes(T: np.ndarray, h: float, shift: float = 0.0):
@@ -320,7 +390,7 @@ def _initial_step(spec: FoxHSpec, quad: QuadratureConfig) -> float:
 
 
 def _eval_tensor(spec: FoxHSpec, quad: QuadratureConfig):
-    per_var, cross = _split_terms(spec)
+    per_var, cross, classes = _split_terms(spec)
     T = _scan_truncation(spec, quad)
     h = _initial_step(spec, quad)
     n = spec.num_vars
@@ -336,7 +406,7 @@ def _eval_tensor(spec: FoxHSpec, quad: QuadratureConfig):
         for shift in (0.0, 0.5):
             axes_y = _make_axes(T, h, shift)
             axis_logs = _axis_logs(spec, per_var, axes_y)
-            results.append(_tensor_pass(spec, cross, axis_logs, axes_y, T))
+            results.append(_tensor_pass(spec, cross, classes, axis_logs, axes_y, h, T))
         ref = max(r[3] for r in results)
         scale_log = ref + n * math.log(h) - math.log(norm)
         vals, bands, noises = [], [], []

@@ -9,9 +9,17 @@ import math
 import numpy as np
 import pytest
 
-from rislink.channel import budget
-from rislink.config import default_geometry, preset_fading
-from rislink.dgg import cascade_coeffs, cascade_sample, cascade_shapes, dgg_psi_phi, dgg_sample
+from rislink.channel import LinkBudget, budget
+from rislink.config import default_geometry, parse_config_text, preset_fading
+from rislink.dgg import (
+    CascadeParams,
+    DggParams,
+    cascade_coeffs,
+    cascade_sample,
+    cascade_shapes,
+    dgg_psi_phi,
+    dgg_sample,
+)
 from rislink.exact_stats import (
     N_EXACT_MAX,
     ExactCapExceeded,
@@ -26,6 +34,7 @@ from rislink.exact_stats import (
     snr_spec,
 )
 from rislink.foxh import GammaTerm, suggest_anchors
+from rislink.metrics import ModulationParams, ber_exact, outage_exact
 
 CASCADE, DIRECT = preset_fading("FP1")
 BUD = budget(default_geometry(), 20.0)
@@ -202,3 +211,36 @@ def test_heterogeneous_elements_accepted():
     emp = float(np.mean(snr <= g))
     se = math.sqrt(emp * (1 - emp) / snr.size)
     assert gamma_cdf(stat, g) == pytest.approx(emp, abs=4 * se)
+
+
+# ---------------------------------------------------------------------------
+# frozen N=2 values of the point-by-point tensor sum the evaluator replaced
+
+# (outage_exact, ber_exact) at 20 dBm with the scenario defaults: 0 dB
+# threshold, a = b = 1.
+FROZEN_N2 = {
+    "FP1": (0.11784700263190263, 0.03090801469395293),
+    "FP2": (0.02291650506101726, 0.005628130545536658),
+    "FP3": (0.005492652988513777, 0.0015833822352248695),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(FROZEN_N2))
+def test_n2_values_frozen(preset):
+    cfg = parse_config_text(
+        f"n_elements = 2\nfading_preset = {preset}\npt_dbm = 20\ngamma_th_db = 0\nmethods = exact\n"
+    )
+    stat = combined_snr_stat(cfg.system.ensemble(), budget(cfg.system.geometry, 20.0, cfg.system.noise_dbm))
+    outage, ber = FROZEN_N2[preset]
+    assert outage_exact(stat, 1.0) == pytest.approx(outage, rel=1e-8)
+    assert ber_exact(stat, ModulationParams(cfg.modulation_a, cfg.modulation_b)) == pytest.approx(ber, rel=1e-8)
+
+
+def test_heterogeneous_n2_outage_frozen():
+    # different alpha2 per element: no two contour variables share their
+    # cross-factor coefficients, so every variable is its own class
+    h1 = DggParams(2, 1, 2, 2, 1, 1)
+    h2 = DggParams(1, 1.5, 1, 2.5, 1, 1)
+    ens = RisEnsemble((CascadeParams(h1, h1), CascadeParams(h2, h2)), DggParams(1.5, 1.5, 1, 1.5, 1, 1))
+    stat = combined_snr_stat(ens, LinkBudget(1, 1, gamma0_ris=3, gamma0_d=2, pt_dbm=0, noise_dbm=0))
+    assert outage_exact(stat, 1.0) == pytest.approx(0.10702147639621941, rel=1e-8)

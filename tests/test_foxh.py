@@ -158,6 +158,72 @@ def test_cross_term_two_variable_binomial():
     assert value == pytest.approx((1.0 + 0.8 + 1.5) ** -a, rel=1e-7)
 
 
+def test_cross_term_three_variable_multinomial():
+    # Gamma(t1)Gamma(t2)Gamma(t3)Gamma(a - t1 - t2 - t3)/Gamma(a) -> (1 + z1 + z2 + z3)^{-a};
+    # the three variables share one cross column, so they form a single class
+    a = 2.3
+    terms = (
+        GammaTerm(0.0, (1.0, 0.0, 0.0)),
+        GammaTerm(0.0, (0.0, 1.0, 0.0)),
+        GammaTerm(0.0, (0.0, 0.0, 1.0)),
+        GammaTerm(a, (1.0, 1.0, 1.0), orientation=-1),
+        GammaTerm(a, (0.0, 0.0, 0.0), sign=-1),
+    )
+    spec = FoxHSpec(args=(0.8, 1.5, 0.3), terms=terms, contour_re=(a / 6,) * 3)
+    value, _ = eval_foxh(spec)
+    assert value == pytest.approx((1.0 + 0.8 + 1.5 + 0.3) ** -a, rel=1e-7)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+def test_class_pass_matches_point_by_point_sum(monkeypatch, shift):
+    # Reference: the integrand evaluated at every point of a small tensor
+    # grid. The N=2 CDF spec puts both reflectors in one class; tiny
+    # chunks exercise the rescaling between chunks.
+    from rislink.channel import budget
+    from rislink.config import default_geometry, preset_fading
+    from rislink.exact_stats import snr_spec
+
+    cascade, direct = preset_fading("FP1")
+    _, spec = snr_spec((cascade, cascade), direct, budget(default_geometry(), 20.0), "cdf", 1.0)
+    per_var, cross, classes = foxh._split_terms(spec)
+    assert classes == [[0, 1], [2]]
+    T, h = np.array([4.0, 3.0, 5.0]), 0.25
+    axes = foxh._make_axes(T, h, shift)
+    monkeypatch.setattr(foxh, "_CHUNK_ROWS", 100)
+    total, band, absmass, ref = foxh._tensor_pass(
+        spec, cross, classes, foxh._axis_logs(spec, per_var, axes), axes, h, T
+    )
+
+    y = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    v = np.exp(foxh._log_at(spec, y) - ref)
+    outer = (np.abs(y) > T - 1.0).any(axis=1)
+    assert absmass == pytest.approx(np.abs(v).sum(), rel=1e-12)
+    assert abs(total - v.sum()) <= 1e-12 * absmass
+    assert abs(band - v[outer].sum()) <= 1e-12 * absmass
+
+
+def test_identical_n2_outage_evaluates_few_log_gammas(monkeypatch):
+    # Cross factors are evaluated once per point of the class lattice: the
+    # point-by-point tensor sum took more than 29M log_gamma elements here.
+    from rislink.channel import budget
+    from rislink.config import default_geometry, preset_fading
+    from rislink.exact_stats import RisEnsemble, combined_snr_stat
+    from rislink.metrics import outage_exact
+
+    counted = []
+    real_log_gamma = foxh.log_gamma
+
+    def counting(z):
+        counted.append(np.size(z))
+        return real_log_gamma(z)
+
+    monkeypatch.setattr(foxh, "log_gamma", counting)
+    cascade, direct = preset_fading("FP1")
+    stat = combined_snr_stat(RisEnsemble.identical(2, cascade, direct), budget(default_geometry(), 20.0))
+    assert 0.0 < outage_exact(stat, 1.0) < 1.0
+    assert sum(counted) < 2e6
+
+
 def test_more_than_max_dims_rejected_before_evaluation(monkeypatch):
     n = MAX_DIMS + 1
     terms = tuple(GammaTerm(0.0, tuple(1.0 if j == i else 0.0 for j in range(n))) for i in range(n))
