@@ -20,23 +20,23 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from rislink.config import SystemConfig, default_geometry, preset_fading
 from rislink.metrics import ModulationParams
-from rislink.montecarlo import SimPlan, estimate_ber, estimate_outage
+from rislink.montecarlo import McTally, SimPlan, tally
 
 ELEMENT_COUNTS = (10, 50)
 RIS_PRESETS = ("FP1", "FP2", "FP3")
 PT_DBM = [float(p) for p in range(-10, 31, 5)]
 
 
-def outage_cell(plan: SimPlan, gamma_th: float, label: str) -> float | None:
+def outage_cell(mc: McTally, pt: float, label: str) -> float | None:
     """Outage estimate, or None (an empty CSV cell) with the reason on stderr.
 
     A DegenerateEstimate (no outage events seen) says its rule-of-three
     upper bound in that message.
     """
     try:
-        return estimate_outage(plan, gamma_th).mean
+        return mc.outage().mean
     except RuntimeError as exc:
-        print(f"warning: {label} outage at {plan.pt_dbm:g} dBm left empty: {exc}", file=sys.stderr)
+        print(f"warning: {label} outage at {pt:g} dBm left empty: {exc}", file=sys.stderr)
         return None
 
 
@@ -72,7 +72,8 @@ def main() -> int:
         dt = SimPlan(
             config=base, pt_dbm=pt, n_trials=args.trials, master_seed=args.seed, scenario="dt_only"
         )
-        row = [pt, outage_cell(dt, gamma_th, "dt"), estimate_ber(dt, mod).mean]
+        dt_mc = tally(dt, gamma_th, mod)
+        row = [pt, outage_cell(dt_mc, pt, "dt"), dt_mc.ber().mean]
         for preset, n in combos:
             plan = SimPlan(
                 config=mixed_system(preset, n),
@@ -81,8 +82,9 @@ def main() -> int:
                 master_seed=args.seed,
                 scenario="combined",
             )
-            row.append(outage_cell(plan, gamma_th, f"{preset} N={n}"))
-            row.append(estimate_ber(plan, mod).mean)
+            mc = tally(plan, gamma_th, mod)
+            row.append(outage_cell(mc, pt, f"{preset} N={n}"))
+            row.append(mc.ber().mean)
         rows.append(row)
         print(f"pt={pt:g} dBm done", file=sys.stderr)
 

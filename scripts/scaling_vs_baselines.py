@@ -19,22 +19,22 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from rislink.config import preset_system
 from rislink.metrics import ModulationParams
-from rislink.montecarlo import SimPlan, estimate_ber, estimate_outage
+from rislink.montecarlo import McTally, SimPlan, tally
 
 ELEMENT_COUNTS = (10, 20, 50)
 PT_DBM = [float(p) for p in range(0, 31, 5)]
 
 
-def outage_cell(plan: SimPlan, gamma_th: float, label: str) -> float | None:
+def outage_cell(mc: McTally, pt: float, label: str) -> float | None:
     """Outage estimate, or None (an empty CSV cell) with the reason on stderr.
 
     A DegenerateEstimate (no outage events seen) says its rule-of-three
     upper bound in that message.
     """
     try:
-        return estimate_outage(plan, gamma_th).mean
+        return mc.outage().mean
     except RuntimeError as exc:
-        print(f"warning: {label} outage at {plan.pt_dbm:g} dBm left empty: {exc}", file=sys.stderr)
+        print(f"warning: {label} outage at {pt:g} dBm left empty: {exc}", file=sys.stderr)
         return None
 
 
@@ -59,20 +59,22 @@ def main() -> int:
         cfg = preset_system("FP1", 1)
         dt = SimPlan(config=cfg, pt_dbm=pt, n_trials=args.trials, master_seed=args.seed, scenario="dt_only")
         df = SimPlan(config=cfg, pt_dbm=pt, n_trials=args.trials, master_seed=args.seed, scenario="df_relay")
+        dt_mc, df_mc = tally(dt, gamma_th, mod), tally(df, gamma_th, mod)
         row = [
             pt,
-            outage_cell(dt, gamma_th, "dt"),
-            outage_cell(df, gamma_th, "df relay"),
-            estimate_ber(dt, mod).mean,
-            estimate_ber(df, mod).mean,
+            outage_cell(dt_mc, pt, "dt"),
+            outage_cell(df_mc, pt, "df relay"),
+            dt_mc.ber().mean,
+            df_mc.ber().mean,
         ]
         for n in ELEMENT_COUNTS:
             cfg_n = preset_system("FP1", n)
             ris = SimPlan(
                 config=cfg_n, pt_dbm=pt, n_trials=args.trials, master_seed=args.seed, scenario="ris_only"
             )
-            row.append(outage_cell(ris, gamma_th, f"RIS N={n}"))
-            row.append(estimate_ber(ris, mod).mean)
+            mc = tally(ris, gamma_th, mod)
+            row.append(outage_cell(mc, pt, f"RIS N={n}"))
+            row.append(mc.ber().mean)
         rows.append(row)
         print(f"pt={pt:g} dBm done", file=sys.stderr)
 

@@ -35,7 +35,7 @@ from .foxh import (
     suggest_anchors,
 )
 from .metrics import ModulationParams, ber_exact, diversity, outage_asymptotic, outage_exact
-from .montecarlo import DegenerateEstimate, SimPlan, estimate_ber, estimate_outage
+from .montecarlo import DegenerateEstimate, SimPlan, tally
 
 __all__ = ["CurveResult", "run_sweep", "emit_csv", "main"]
 
@@ -101,13 +101,19 @@ def run_sweep(config: ScenarioConfig, quantity: str = "outage") -> CurveResult:
         stat = None
         if "exact" in methods or "asymptotic" in methods:
             stat = combined_snr_stat(ensemble, bud)
-        plan = SimPlan(
-            config=config.system,
-            pt_dbm=pt,
-            n_trials=config.mc_trials,
-            master_seed=config.mc_seed,
-            scenario="combined",
-        )
+        if "mc" in methods:
+            # One simulation pass serves both quantities.
+            mc = tally(
+                SimPlan(
+                    config=config.system,
+                    pt_dbm=pt,
+                    n_trials=config.mc_trials,
+                    master_seed=config.mc_seed,
+                    scenario="combined",
+                ),
+                gamma_th=config.gamma_th if want_outage else None,
+                mod=mod if want_ber else None,
+            )
 
         def attempt(name, fn):
             try:
@@ -122,7 +128,7 @@ def run_sweep(config: ScenarioConfig, quantity: str = "outage") -> CurveResult:
                 attempt("outage_asymptotic", lambda: outage_asymptotic(stat, config.gamma_th))
             if "mc" in methods:
                 def mc_outage():
-                    est = estimate_outage(plan, config.gamma_th)
+                    est = mc.outage()
                     cells["outage_mc_se"] = est.std_error
                     return est.mean
 
@@ -132,7 +138,7 @@ def run_sweep(config: ScenarioConfig, quantity: str = "outage") -> CurveResult:
                 attempt("ber_exact", lambda: ber_exact(stat, mod))
             if "mc" in methods:
                 def mc_ber():
-                    est = estimate_ber(plan, mod)
+                    est = mc.ber()
                     cells["ber_mc_se"] = est.std_error
                     return est.mean
 

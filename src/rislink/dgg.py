@@ -101,14 +101,23 @@ def dgg_moment(p: DggParams, k: float) -> float:
 
 
 def dgg_sample(p: DggParams, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n dGG variates as products of transformed standard-Gamma draws."""
+    """Draw n dGG variates as products of transformed standard-Gamma draws.
+
+    Computes (omega1/beta1 * g1)^(1/alpha1) * (omega2/beta2 * g2)^(1/alpha2)
+    in the two draw buffers: each in-place step is the same operation on
+    the same operands as the written-out formula, so values match it bit
+    for bit.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    g1 = rng.gamma(p.beta1, size=n)
-    g2 = rng.gamma(p.beta2, size=n)
-    x1 = (p.omega1 / p.beta1 * g1) ** (1.0 / p.alpha1)
-    x2 = (p.omega2 / p.beta2 * g2) ** (1.0 / p.alpha2)
-    return x1 * x2
+    x1 = rng.gamma(p.beta1, size=n)
+    x2 = rng.gamma(p.beta2, size=n)
+    x1 *= p.omega1 / p.beta1
+    x1 **= 1.0 / p.alpha1
+    x2 *= p.omega2 / p.beta2
+    x2 **= 1.0 / p.alpha2
+    x1 *= x2
+    return x1
 
 
 def cascade_coeffs(c: CascadeParams) -> tuple[float, float]:
@@ -168,4 +177,7 @@ def cascade_moment(c: CascadeParams, k: float) -> float:
 
 
 def cascade_sample(c: CascadeParams, rng: np.random.Generator, n: int) -> np.ndarray:
-    return dgg_sample(c.hop1, rng, n) * dgg_sample(c.hop2, rng, n)
+    """Draw n two-hop products, hop1's variates first, multiplied in place."""
+    z = dgg_sample(c.hop1, rng, n)
+    z *= dgg_sample(c.hop2, rng, n)
+    return z

@@ -3,11 +3,15 @@
 This module is the independent verification route: it never touches the
 contour-integral evaluator. Work is split into fixed-size units, each
 with its own seed derived from (master_seed, unit index), so estimates
-are bit-reproducible.
+are bit-reproducible. Units run side by side on the available CPUs and
+their sums are combined in unit order, so estimates do not depend on the
+number of CPUs.
 """
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,8 +26,10 @@ __all__ = [
     "UNIT_TRIALS",
     "SimPlan",
     "McEstimate",
+    "McTally",
     "DegenerateEstimate",
     "simulate_snr",
+    "tally",
     "estimate_outage",
     "estimate_ber",
     "baseline_df_relay",
@@ -83,68 +89,156 @@ def _df_hop_budgets(config: SystemConfig, pt_dbm: float) -> tuple[float, float]:
 
 
 def simulate_snr(plan: SimPlan, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n end-to-end SNR realizations for the plan's scenario."""
+    """Draw n end-to-end SNR realizations for the plan's scenario.
+
+    Scales, squares and sums in the sample buffers; each in-place step is
+    the written-out formula's operation on the same operands, so the
+    values are bit-identical to it.
+    """
     config = plan.config
     bud = budget(config.geometry, plan.pt_dbm, config.noise_dbm)
     if plan.scenario == "dt_only":
-        return bud.gamma0_d * dgg_sample(config.direct, rng, n) ** 2
+        return _scaled_square(bud.gamma0_d, dgg_sample(config.direct, rng, n))
     if plan.scenario == "df_relay":
         g1, g2 = _df_hop_budgets(config, plan.pt_dbm)
         hops = config.elements[0]
-        snr1 = g1 * dgg_sample(hops.hop1, rng, n) ** 2
-        snr2 = g2 * dgg_sample(hops.hop2, rng, n) ** 2
-        return np.minimum(snr1, snr2)
+        snr1 = _scaled_square(g1, dgg_sample(hops.hop1, rng, n))
+        snr2 = _scaled_square(g2, dgg_sample(hops.hop2, rng, n))
+        return np.minimum(snr1, snr2, out=snr1)
     h_ris = np.zeros(n)
     for cascade in config.elements:
         h_ris += cascade_sample(cascade, rng, n)
-    snr = bud.gamma0_ris * h_ris**2
+    snr = _scaled_square(bud.gamma0_ris, h_ris)
     if plan.scenario == "combined":
-        snr = snr + bud.gamma0_d * dgg_sample(config.direct, rng, n) ** 2
+        snr += _scaled_square(bud.gamma0_d, dgg_sample(config.direct, rng, n))
     return snr
 
 
-def _unit_streams(plan: SimPlan):
-    """Yield (rng, n) per unit; seeds depend only on (master_seed, index)."""
+def _scaled_square(scale: float, x: np.ndarray) -> np.ndarray:
+    """scale * x**2, computed in x."""
+    x **= 2
+    x *= scale
+    return x
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: the number of units simulated at once."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _unit_tally(plan: SimPlan, unit: int, n: int, gamma_th: float | None, mod) -> tuple[int, float, float]:
+    """(failures, error sum, squared-error sum) of one seeding unit.
+
+    The unit's stream depends only on (master_seed, unit). Failures are
+    counted only when gamma_th is given, the conditional error
+    a*Q(sqrt(2*b*snr)) is summed only when mod is; the error is computed
+    in the SNR buffer.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=plan.master_seed, spawn_key=(unit,)))
+    snr = simulate_snr(plan, rng, n)
+    failures = 0
+    if gamma_th is not None:
+        failures = int(np.count_nonzero(snr <= gamma_th))
+    if mod is None:
+        return failures, 0.0, 0.0
+    err = snr
+    err *= mod.b
+    np.sqrt(err, out=err)
+    erfc(err, out=err)
+    err *= mod.a * 0.5
+    err_sum = float(err.sum())
+    np.square(err, out=err)
+    return failures, err_sum, float(err.sum())
+
+
+@dataclass(frozen=True)
+class McTally:
+    """Sums of one simulation pass over every seeding unit of a plan.
+
+    ``outage()`` and ``ber()`` turn them into estimates; each needs the
+    threshold or the modulation the pass was run with.
+    """
+
+    n: int
+    gamma_th: float | None
+    failures: int
+    err_sum: float
+    err_sq_sum: float
+    has_ber: bool
+
+    def outage(self) -> McEstimate:
+        """Empirical P(snr <= gamma_th) with binomial standard error."""
+        if self.gamma_th is None:
+            raise ValueError("tally was run without an outage threshold")
+        n = self.n
+        if self.gamma_th == 0:
+            return McEstimate(mean=0.0, std_error=0.0, n=n)
+        if math.isinf(self.gamma_th):
+            return McEstimate(mean=1.0, std_error=0.0, n=n)
+        if self.failures == 0:
+            raise DegenerateEstimate(n)
+        p = self.failures / n
+        return McEstimate(mean=p, std_error=math.sqrt(p * (1.0 - p) / n), n=n)
+
+    def ber(self) -> McEstimate:
+        """Empirical mean of the conditional error a*Q(sqrt(2*b*snr))."""
+        if not self.has_ber:
+            raise ValueError("tally was run without modulation parameters")
+        n = self.n
+        mean = self.err_sum / n
+        var = max(self.err_sq_sum / n - mean**2, 0.0)
+        return McEstimate(mean=mean, std_error=math.sqrt(var / n), n=n)
+
+
+def tally(plan: SimPlan, gamma_th: float | None = None, mod=None) -> McTally:
+    """Simulate the plan once for its outage count at gamma_th and/or its BER sums.
+
+    Units run on a thread pool of one worker per available CPU (at most
+    one per unit); the sums are combined in unit order, so the result does
+    not depend on the worker count. A threshold of 0 or infinity needs no
+    samples, so an outage-only pass at one draws none.
+    """
+    if gamma_th is not None and gamma_th < 0:
+        raise ValueError("gamma_th must be nonnegative")
+    count_th = gamma_th if gamma_th is not None and 0 < gamma_th < math.inf else None
+    if count_th is None and mod is None:
+        return McTally(plan.n_trials, gamma_th, 0, 0.0, 0.0, has_ber=False)
     full, rem = divmod(plan.n_trials, UNIT_TRIALS)
-    for unit in range(full + (1 if rem else 0)):
-        n = UNIT_TRIALS if unit < full else rem
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=plan.master_seed, spawn_key=(unit,)))
-        yield rng, n
+    sizes = [UNIT_TRIALS] * full + ([rem] if rem else [])
+
+    def run(unit: int) -> tuple[int, float, float]:
+        return _unit_tally(plan, unit, sizes[unit], count_th, mod)
+
+    workers = min(_cpu_count(), len(sizes))
+    if workers == 1:
+        parts = [run(unit) for unit in range(len(sizes))]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run, range(len(sizes))))
+    return McTally(
+        n=plan.n_trials,
+        gamma_th=gamma_th,
+        failures=sum(f for f, _, _ in parts),
+        err_sum=math.fsum(s for _, s, _ in parts),
+        err_sq_sum=math.fsum(q for _, _, q in parts),
+        has_ber=mod is not None,
+    )
 
 
 def estimate_outage(plan: SimPlan, gamma_th: float) -> McEstimate:
     """Empirical P(snr <= gamma_th) with binomial standard error."""
-    if gamma_th < 0:
-        raise ValueError("gamma_th must be nonnegative")
-    if gamma_th == 0:
-        return McEstimate(mean=0.0, std_error=0.0, n=plan.n_trials)
-    if math.isinf(gamma_th):
-        return McEstimate(mean=1.0, std_error=0.0, n=plan.n_trials)
-    failures = 0
-    for rng, n in _unit_streams(plan):
-        failures += int(np.count_nonzero(simulate_snr(plan, rng, n) <= gamma_th))
-    n = plan.n_trials
-    if failures == 0:
-        raise DegenerateEstimate(n)
-    p = failures / n
-    return McEstimate(mean=p, std_error=math.sqrt(p * (1.0 - p) / n), n=n)
+    return tally(plan, gamma_th=gamma_th).outage()
 
 
 def estimate_ber(plan: SimPlan, mod) -> McEstimate:
     """Empirical mean of the conditional error a*Q(sqrt(2*b*snr))."""
-    total = []
-    total_sq = []
-    for rng, n in _unit_streams(plan):
-        err = mod.a * 0.5 * erfc(np.sqrt(mod.b * simulate_snr(plan, rng, n)))
-        total.append(float(err.sum()))
-        total_sq.append(float(np.square(err).sum()))
-    n = plan.n_trials
-    mean = math.fsum(total) / n
-    var = max(math.fsum(total_sq) / n - mean**2, 0.0)
-    return McEstimate(mean=mean, std_error=math.sqrt(var / n), n=n)
+    return tally(plan, mod=mod).ber()
 
 
 def baseline_df_relay(plan: SimPlan, gamma_th: float, mod) -> tuple[McEstimate, McEstimate]:
     """(outage, BER) of the decode-and-forward relay comparator."""
-    df_plan = replace(plan, scenario="df_relay")
-    return estimate_outage(df_plan, gamma_th), estimate_ber(df_plan, mod)
+    df = tally(replace(plan, scenario="df_relay"), gamma_th, mod)
+    return df.outage(), df.ber()

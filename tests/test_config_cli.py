@@ -153,6 +153,24 @@ def test_run_sweep_exact_fallback_above_cap(n_elements):
     assert "outage_mc" in result.columns
 
 
+def test_run_sweep_simulates_once_for_both_quantities(monkeypatch):
+    from rislink import montecarlo
+
+    calls = []
+    real = montecarlo.simulate_snr
+
+    def counted(plan, rng, n):
+        calls.append(n)
+        return real(plan, rng, n)
+
+    monkeypatch.setattr(montecarlo, "simulate_snr", counted)
+    cfg = replace(parse_config_text(MINIMAL), methods=("mc",), pt_dbm=(10.0,))
+    both = run_sweep(cfg, "both")
+    assert calls == [20_000]
+    outage, ber = run_sweep(cfg, "outage"), run_sweep(cfg, "ber")
+    assert both.rows[0] == outage.rows[0] + ber.rows[0][1:]
+
+
 def test_run_sweep_rejects_unknown_quantity():
     with pytest.raises(ValueError):
         run_sweep(parse_config_text(MINIMAL), "latency")

@@ -178,3 +178,23 @@ def test_pdf_nonnegative_property(a1, b1, a2, b2):
     p = DggParams(a1, b1, a2, b2, 1.5793, 0.9671)
     for x in (0.3, 1.0, 3.0):
         assert dgg_pdf(p, x) >= -1e-12
+
+
+def _dgg_formula(p, rng, n):
+    """The dGG sampler written out of place, draw for draw."""
+    g1 = rng.gamma(p.beta1, size=n)
+    g2 = rng.gamma(p.beta2, size=n)
+    return (p.omega1 / p.beta1 * g1) ** (1.0 / p.alpha1) * (p.omega2 / p.beta2 * g2) ** (1.0 / p.alpha2)
+
+
+@pytest.mark.parametrize("preset", ["FP1", "FP2", "FP3"])
+def test_in_place_sampling_matches_formula_bit_for_bit(preset):
+    # The hops' exponents 1/alpha are 1, 2/3 and 0.5: numpy's identity,
+    # general-pow and sqrt paths of `**=` must agree with `**`.
+    cascade, direct = preset_fading(preset)
+    for hop in (cascade.hop1, cascade.hop2, direct):
+        got = dgg_sample(hop, np.random.default_rng(5), 10_001)
+        assert np.array_equal(got, _dgg_formula(hop, np.random.default_rng(5), 10_001))
+    ref_rng = np.random.default_rng(6)
+    expect = _dgg_formula(cascade.hop1, ref_rng, 10_001) * _dgg_formula(cascade.hop2, ref_rng, 10_001)
+    assert np.array_equal(cascade_sample(cascade, np.random.default_rng(6), 10_001), expect)

@@ -1,5 +1,6 @@
 """Monte-Carlo route: determinism and moment checks."""
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from rislink.channel import budget
 from rislink.config import preset_system
 from rislink.dgg import cascade_moment, dgg_moment, dgg_sample
 from rislink.metrics import ModulationParams
+from rislink import montecarlo
 from rislink.montecarlo import (
     SCENARIOS,
     DegenerateEstimate,
@@ -18,6 +20,7 @@ from rislink.montecarlo import (
     estimate_ber,
     estimate_outage,
     simulate_snr,
+    tally,
 )
 
 MOD = ModulationParams(a=1.0, b=1.0)
@@ -131,3 +134,74 @@ def test_ber_standard_error_positive():
     est = estimate_ber(make_plan(trials=50_000), MOD)
     assert 0.0 < est.mean < 1.0
     assert est.std_error > 0.0
+
+
+# (preset, N, scenario, Pt dBm) -> (outage, BER) at master_seed 0,
+# 150_001 trials, gamma_th 1 and ModulationParams(1, 1). Any change to
+# the order or number of draws in a unit's stream moves these values.
+FROZEN = [
+    ("FP1", 2, "combined", 20.0, 0.11723255178298811, 0.030811487184214906),
+    ("FP2", 3, "ris_only", 100.0, 0.0019933200445330364, 0.0005080981821151537),
+    ("FP3", 1, "dt_only", 20.0, 0.005266631555789628, 0.0015787215263958234),
+    ("FP1", 1, "df_relay", 20.0, 0.24098506009959933, 0.057231199578085874),
+]
+
+
+def frozen_plan(preset, n, scenario, pt):
+    return SimPlan(preset_system(preset, n), pt, n_trials=150_001, master_seed=0, scenario=scenario)
+
+
+@pytest.mark.parametrize("preset,n,scenario,pt,outage,ber", FROZEN, ids=[row[2] for row in FROZEN])
+def test_streams_frozen(preset, n, scenario, pt, outage, ber):
+    plan = frozen_plan(preset, n, scenario, pt)
+    assert estimate_outage(plan, 1.0).mean == outage
+    assert estimate_ber(plan, MOD).mean == ber
+
+
+def test_estimates_independent_of_worker_count(monkeypatch):
+    # 150_001 trials: one full unit and a one-trial partial unit.
+    assert {row[2] for row in FROZEN} == set(SCENARIOS)
+    results = {}
+    for workers in (1, 3):
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: workers)
+        for preset, n, scenario, pt, _, _ in FROZEN:
+            plan = frozen_plan(preset, n, scenario, pt)
+            threads = threading.active_count()
+            out = estimate_outage(plan, 1.0)
+            assert threading.active_count() == threads
+            ber = estimate_ber(plan, MOD)
+            assert threading.active_count() == threads
+            results.setdefault(scenario, []).append((out, ber))
+    for scenario, (serial, pooled) in results.items():
+        assert serial == pooled, scenario
+
+
+def test_one_pass_serves_both_quantities():
+    plan = make_plan(pt=10.0, trials=150_001)
+    both = tally(plan, 1.0, MOD)
+    assert both.outage() == estimate_outage(plan, 1.0)
+    assert both.ber() == estimate_ber(plan, MOD)
+    with pytest.raises(ValueError):
+        tally(plan, gamma_th=1.0).ber()
+    with pytest.raises(ValueError):
+        tally(plan, mod=MOD).outage()
+
+
+def test_degenerate_outage_keeps_ber():
+    plan = make_plan(pt=60.0, trials=10_000)
+    both = tally(plan, 1e-12, MOD)
+    with pytest.raises(DegenerateEstimate):
+        both.outage()
+    assert both.ber() == estimate_ber(plan, MOD)
+
+
+def test_single_quantity_does_no_extra_work(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called")
+
+    plan = make_plan(trials=10_000)
+    monkeypatch.setattr(montecarlo, "erfc", forbidden)
+    assert estimate_outage(plan, 1.0).mean > 0.0
+    monkeypatch.setattr(montecarlo, "simulate_snr", forbidden)
+    assert estimate_outage(plan, 0.0).mean == 0.0
+    assert estimate_outage(plan, math.inf).mean == 1.0
