@@ -22,6 +22,9 @@ from .config import (
     ValidationError,
     config_hash,
     load_config,
+    parse_config_text,
+    parse_methods,
+    setting_problems,
 )
 from .exact_stats import N_EXACT_MAX, combined_snr_stat
 from .foxh import (
@@ -34,7 +37,7 @@ from .foxh import (
     eval_foxh,
     suggest_anchors,
 )
-from .metrics import ModulationParams, ber_exact, diversity, outage_asymptotic, outage_exact
+from .metrics import ModulationParams, branch_ber, branch_outage, diversity, outage_asymptotic
 from .montecarlo import DegenerateEstimate, SimPlan, tally
 
 __all__ = ["CurveResult", "run_sweep", "emit_csv", "main"]
@@ -52,21 +55,38 @@ class CurveResult:
     warnings: tuple[str, ...]
 
 
+def _exact_branches(config: ScenarioConfig):
+    """(elements, direct) branch set of the scenario, or None without a contour route."""
+    system = config.system
+    return {
+        "combined": (system.elements, system.direct),
+        "ris_only": (system.elements, None),
+        "dt_only": ((), system.direct),
+    }.get(config.scenario)
+
+
 def _effective_methods(config: ScenarioConfig, warnings: list[str]) -> tuple[str, ...]:
+    """The requested methods that can evaluate the scenario; Monte-Carlo stands in for the rest."""
     methods = list(config.methods)
-    if "exact" in methods and config.system.n_elements > N_EXACT_MAX:
-        warnings.append(
-            f"exact evaluation capped at N={N_EXACT_MAX}; "
-            f"N={config.system.n_elements} falls back to Monte-Carlo"
-        )
-        methods = [m for m in methods if m != "exact"]
-        if "mc" not in methods:
-            methods.append("mc")
+    branches = _exact_branches(config)
+    unavailable = {}
+    if "exact" in methods:
+        if branches is None:
+            unavailable["exact"] = f"exact evaluation has no route for scenario '{config.scenario}'"
+        elif len(branches[0]) > N_EXACT_MAX:
+            unavailable["exact"] = f"exact evaluation capped at N={N_EXACT_MAX}, got N={len(branches[0])}"
+    if "asymptotic" in methods and config.scenario != "combined":
+        unavailable["asymptotic"] = f"no asymptote for scenario '{config.scenario}', only for 'combined'"
+    for method, reason in unavailable.items():
+        warnings.append(f"{reason}; {method} falls back to Monte-Carlo")
+        methods.remove(method)
+    if unavailable and "mc" not in methods:
+        methods.append("mc")
     return tuple(methods)
 
 
 def run_sweep(config: ScenarioConfig, quantity: str = "outage") -> CurveResult:
-    """Evaluate the requested methods at every sweep point.
+    """Evaluate the requested methods at every sweep point of the config's scenario.
 
     quantity: "outage", "ber", or "both". Per-point evaluation failures
     are recorded as warnings and leave empty cells; the sweep continues.
@@ -78,7 +98,7 @@ def run_sweep(config: ScenarioConfig, quantity: str = "outage") -> CurveResult:
     want_outage = quantity in ("outage", "both")
     want_ber = quantity in ("ber", "both")
     mod = ModulationParams(config.modulation_a, config.modulation_b)
-    ensemble = config.system.ensemble()
+    branches = _exact_branches(config)
 
     columns = ["pt_dbm"]
     if want_outage:
@@ -98,9 +118,6 @@ def run_sweep(config: ScenarioConfig, quantity: str = "outage") -> CurveResult:
     for pt in sorted(config.pt_dbm):
         cells: dict[str, float] = {"pt_dbm": pt}
         bud = budget(config.system.geometry, pt, config.system.noise_dbm)
-        stat = None
-        if "exact" in methods or "asymptotic" in methods:
-            stat = combined_snr_stat(ensemble, bud)
         if "mc" in methods:
             # One simulation pass serves both quantities.
             mc = tally(
@@ -109,7 +126,7 @@ def run_sweep(config: ScenarioConfig, quantity: str = "outage") -> CurveResult:
                     pt_dbm=pt,
                     n_trials=config.mc_trials,
                     master_seed=config.mc_seed,
-                    scenario="combined",
+                    scenario=config.scenario,
                 ),
                 gamma_th=config.gamma_th if want_outage else None,
                 mod=mod if want_ber else None,
@@ -123,8 +140,9 @@ def run_sweep(config: ScenarioConfig, quantity: str = "outage") -> CurveResult:
 
         if want_outage:
             if "exact" in methods:
-                attempt("outage_exact", lambda: outage_exact(stat, config.gamma_th))
+                attempt("outage_exact", lambda: branch_outage(*branches, bud, config.gamma_th))
             if "asymptotic" in methods:
+                stat = combined_snr_stat(config.system.ensemble(), bud)
                 attempt("outage_asymptotic", lambda: outage_asymptotic(stat, config.gamma_th))
             if "mc" in methods:
                 def mc_outage():
@@ -135,7 +153,7 @@ def run_sweep(config: ScenarioConfig, quantity: str = "outage") -> CurveResult:
                 attempt("outage_mc", mc_outage)
         if want_ber:
             if "exact" in methods:
-                attempt("ber_exact", lambda: ber_exact(stat, mod))
+                attempt("ber_exact", lambda: branch_ber(*branches, bud, mod))
             if "mc" in methods:
                 def mc_ber():
                     est = mc.ber()
@@ -149,6 +167,7 @@ def run_sweep(config: ScenarioConfig, quantity: str = "outage") -> CurveResult:
     metadata = [
         ("config_hash", config_hash(config)),
         ("quantity", quantity),
+        ("scenario", config.scenario),
         ("n_elements", str(config.system.n_elements)),
         ("gamma_th_db", repr(config.gamma_th_db)),
         ("methods", ",".join(methods)),
@@ -192,16 +211,21 @@ def _write_output(result: CurveResult, path: str | None, quiet: bool) -> None:
 
 
 def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
+    """The config with the command-line settings, checked like a scenario file's."""
     updates = {}
     if args.seed is not None:
         updates["mc_seed"] = args.seed
     if args.trials is not None:
         updates["mc_trials"] = args.trials
     if args.methods is not None:
-        updates["methods"] = tuple(args.methods.split(","))
+        updates["methods"] = parse_methods(args.methods)
     if args.output is not None:
         updates["output"] = args.output
-    return replace(config, **updates) if updates else config
+    config = replace(config, **updates)
+    problems = setting_problems(config.methods, config.mc_trials, config.mc_seed)
+    if problems:
+        raise ValidationError(problems)
+    return config
 
 
 def _cmd_sweep(args, quantity: str) -> int:
@@ -236,8 +260,6 @@ methods = exact,mc
 
 
 def _cmd_verify(args) -> int:
-    from .config import parse_config_text
-
     config = _apply_overrides(parse_config_text(_VERIFY_TEXT), args)
     if args.trials is None:
         config = replace(config, mc_trials=200_000)

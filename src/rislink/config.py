@@ -19,6 +19,7 @@ __all__ = [
     "OMEGA1",
     "OMEGA2",
     "PRESETS",
+    "SCENARIOS",
     "SystemConfig",
     "ScenarioConfig",
     "ParseError",
@@ -28,6 +29,8 @@ __all__ = [
     "preset_system",
     "load_config",
     "parse_config_text",
+    "parse_methods",
+    "setting_problems",
     "config_hash",
 ]
 
@@ -42,6 +45,10 @@ PRESETS = {
     "FP2": (((1.0, 1.0), (1.0, 2.0)), ((2.0, 1.5), (2.0, 1.5))),
     "FP3": (((1.0, 1.5), (1.0, 2.5)), ((2.0, 2.1), (2.0, 2.1))),
 }
+
+# Links a sweep can evaluate: reflected plus direct combined, reflected
+# only, direct only, and the decode-and-forward relay comparator.
+SCENARIOS = ("combined", "ris_only", "dt_only", "df_relay")
 
 
 class ParseError(ValueError):
@@ -132,6 +139,7 @@ class ScenarioConfig:
     methods: tuple[str, ...] = ("exact", "mc")
     mc_trials: int = 1_000_000
     mc_seed: int = 0
+    scenario: str = "combined"
     output: str | None = None
 
     def __post_init__(self):
@@ -169,6 +177,7 @@ _KNOWN_KEYS = set(_GEOMETRY_KEYS) | {
     "methods",
     "mc_trials",
     "mc_seed",
+    "scenario",
     "output",
 }
 
@@ -188,6 +197,27 @@ def _parse_fading_block(value: str, key: str, line: int) -> DggParams:
         return DggParams(nums[0], nums[1], nums[2], nums[3], omegas[0], omegas[1])
     except ValueError as e:
         raise ParseError(str(e), line, key) from None
+
+
+def parse_methods(value: str, line: int | None = None) -> tuple[str, ...]:
+    """Method names from a comma- or space-separated list."""
+    methods = tuple(value.replace(",", " ").split())
+    for m in methods:
+        if m not in _VALID_METHODS:
+            raise ParseError(f"unknown method '{m}', expected {_VALID_METHODS}", line, "methods")
+    return methods
+
+
+def setting_problems(methods: tuple[str, ...], mc_trials: int, mc_seed: int) -> list[str]:
+    """Problems with the settings that scenario files and command-line overrides share."""
+    problems = []
+    if not methods:
+        problems.append("at least one method is required")
+    if mc_trials < 10_000:
+        problems.append(f"mc_trials must be >= 10000, got {mc_trials}")
+    if mc_seed < 0:
+        problems.append(f"mc_seed must be >= 0, got {mc_seed}")
+    return problems
 
 
 def parse_config_text(text: str) -> ScenarioConfig:
@@ -299,13 +329,10 @@ def parse_config_text(text: str) -> ScenarioConfig:
     if not sweep:
         problems.append("empty transmit-power sweep (need pt_dbm or pt_start/stop)")
 
-    methods_value, methods_line = take("methods", "exact,mc")
-    methods = tuple(m for m in methods_value.replace(",", " ").split())
-    for m in methods:
-        if m not in _VALID_METHODS:
-            raise ParseError(f"unknown method '{m}', expected {_VALID_METHODS}", methods_line, "methods")
-    if not methods:
-        problems.append("at least one method is required")
+    methods = parse_methods(*take("methods", "exact,mc"))
+    scenario, scenario_line = take("scenario", "combined")
+    if scenario not in SCENARIOS:
+        raise ParseError(f"unknown scenario, expected one of {SCENARIOS}", scenario_line, "scenario")
 
     modulation_a = take_float("modulation_a", 1.0)
     modulation_b = take_float("modulation_b", 1.0)
@@ -314,8 +341,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
     gamma_th_db = take_float("gamma_th_db", 0.0)
     mc_trials = take_int("mc_trials", 1_000_000)
     mc_seed = take_int("mc_seed", 0)
-    if mc_trials < 10_000:
-        problems.append(f"mc_trials must be >= 10000, got {mc_trials}")
+    problems += setting_problems(methods, mc_trials, mc_seed)
     output, _ = take("output")
 
     try:
@@ -338,6 +364,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
         methods=methods,
         mc_trials=mc_trials,
         mc_seed=mc_seed,
+        scenario=scenario,
         output=output,
     )
 
@@ -359,6 +386,7 @@ def _semantic_repr(cfg: ScenarioConfig) -> str:
         f"mod=({cfg.modulation_a!r},{cfg.modulation_b!r})",
         f"methods={cfg.methods!r}",
         f"mc=({cfg.mc_trials},{cfg.mc_seed})",
+        f"scenario={cfg.scenario!r}",
     ]
     return "|".join(parts)
 

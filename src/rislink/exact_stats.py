@@ -20,10 +20,10 @@ __all__ = [
     "RisEnsemble",
     "CombinedSnrStat",
     "combined_snr_stat",
-    "hris_pdf_spec",
     "hris_pdf",
     "hris_cdf",
     "snr_spec",
+    "snr_functional",
     "gamma_pdf",
     "gamma_cdf",
     "mgf_gamma_ris",
@@ -119,39 +119,6 @@ def _build(args, terms) -> FoxHSpec:
 
 
 # ---------------------------------------------------------------------------
-# sum of cascaded amplitudes
-
-
-def hris_pdf_spec(ensemble: RisEnsemble, z: float) -> tuple[float, FoxHSpec]:
-    """(log prefactor, spec) so that exp(logc) * H equals the density at z."""
-    if z <= 0:
-        raise ValueError("requires z > 0")
-    elements = ensemble.elements
-    terms = _element_terms(elements, len(elements))
-    terms.append(GammaTerm(0.0, tuple(c.hop1.alpha2 for c in elements), sign=-1, orientation=-1))
-    args = [z ** c.hop1.alpha2 / cascade_coeffs(c)[1] for c in elements]
-    logc = _log_element_coeff(elements) - math.log(z)
-    return logc, _build(args, terms)
-
-
-def hris_pdf(ensemble: RisEnsemble, z: float, quad: QuadratureConfig = QuadratureConfig()) -> float:
-    logc, spec = hris_pdf_spec(ensemble, z)
-    value, _ = eval_foxh(spec, quad)
-    return math.exp(logc) * value
-
-
-def hris_cdf(ensemble: RisEnsemble, z: float, quad: QuadratureConfig = QuadratureConfig()) -> float:
-    if z <= 0:
-        raise ValueError("requires z > 0")
-    elements = ensemble.elements
-    terms = _element_terms(elements, len(elements))
-    terms.append(GammaTerm(1.0, tuple(c.hop1.alpha2 for c in elements), sign=-1, orientation=-1))
-    args = [z ** c.hop1.alpha2 / cascade_coeffs(c)[1] for c in elements]
-    value, _ = eval_foxh(_build(args, terms), quad)
-    return math.exp(_log_element_coeff(elements)) * value
-
-
-# ---------------------------------------------------------------------------
 # SNR of any branch set: reflected, direct, or both combined
 
 # Factors Gamma(offset - sum_i (alpha2_i/2) t_i)^sign, over every branch
@@ -218,18 +185,49 @@ def snr_spec(
     return logc, _build(args, terms)
 
 
+def snr_functional(
+    elements: tuple[CascadeParams, ...],
+    direct: DggParams | None,
+    budget: LinkBudget,
+    functional: str,
+    x: float,
+    quad: QuadratureConfig = QuadratureConfig(),
+) -> float:
+    """Value of ``snr_spec``'s functional of the branch set's SNR."""
+    logc, spec = snr_spec(elements, direct, budget, functional, x)
+    return math.exp(logc) * eval_foxh(spec, quad)[0]
+
+
 def gamma_pdf(stat: CombinedSnrStat, g: float, quad: QuadratureConfig = QuadratureConfig()) -> float:
     """Density of the combined SNR at g > 0."""
     ens = stat.ensemble
-    logc, spec = snr_spec(ens.elements, ens.direct, stat.budget, "pdf", g)
-    return math.exp(logc) * eval_foxh(spec, quad)[0]
+    return snr_functional(ens.elements, ens.direct, stat.budget, "pdf", g, quad)
 
 
 def gamma_cdf(stat: CombinedSnrStat, g: float, quad: QuadratureConfig = QuadratureConfig()) -> float:
     """Distribution function of the combined SNR at g > 0."""
     ens = stat.ensemble
-    logc, spec = snr_spec(ens.elements, ens.direct, stat.budget, "cdf", g)
-    return math.exp(logc) * eval_foxh(spec, quad)[0]
+    return snr_functional(ens.elements, ens.direct, stat.budget, "cdf", g, quad)
+
+
+# ---------------------------------------------------------------------------
+# sum of cascaded amplitudes: the reflected-only SNR at unit scale, z**2
+
+_UNIT_BUDGET = LinkBudget(h_l_ris=1.0, h_l=1.0, gamma0_ris=1.0, gamma0_d=1.0, pt_dbm=0.0, noise_dbm=0.0)
+
+
+def hris_pdf(ensemble: RisEnsemble, z: float, quad: QuadratureConfig = QuadratureConfig()) -> float:
+    """Density of the summed element amplitudes at z > 0."""
+    if z <= 0:
+        raise ValueError("requires z > 0")
+    return 2.0 * z * snr_functional(ensemble.elements, None, _UNIT_BUDGET, "pdf", z * z, quad)
+
+
+def hris_cdf(ensemble: RisEnsemble, z: float, quad: QuadratureConfig = QuadratureConfig()) -> float:
+    """Distribution function of the summed element amplitudes at z > 0."""
+    if z <= 0:
+        raise ValueError("requires z > 0")
+    return snr_functional(ensemble.elements, None, _UNIT_BUDGET, "cdf", z * z, quad)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +243,7 @@ def mgf_gamma_ris(
     """E[exp(-s * SNR_reflected)] for s > 0."""
     if s <= 0:
         raise ValueError("requires s > 0")
-    logc, spec = snr_spec(ensemble.elements, None, budget, "mgf", 1.0 / s)
-    return math.exp(logc) * eval_foxh(spec, quad)[0]
+    return snr_functional(ensemble.elements, None, budget, "mgf", 1.0 / s, quad)
 
 
 def mgf_gamma_d(
@@ -258,5 +255,4 @@ def mgf_gamma_d(
     """E[exp(-s * SNR_direct)] for s > 0."""
     if s <= 0:
         raise ValueError("requires s > 0")
-    logc, spec = snr_spec((), direct, budget, "mgf", 1.0 / s)
-    return math.exp(logc) * eval_foxh(spec, quad)[0]
+    return snr_functional((), direct, budget, "mgf", 1.0 / s, quad)

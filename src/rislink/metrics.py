@@ -1,9 +1,11 @@
 """Outage probability, average BER, and diversity order of the combined link.
 
 Exact quantities evaluate the multivariate contour integrals of
-``exact_stats``; the high-SNR asymptote is the sum of residues at the
-integrand poles nearest the contour, which reduces to a finite product of
-Gamma functions and power laws in gamma_th / gamma_0.
+``exact_stats`` for any branch set: the combined link, the reflected
+branch alone, or the direct link alone. The high-SNR asymptote of the
+combined link is the sum of residues at the integrand poles nearest the
+contour, which reduces to a finite product of Gamma functions and power
+laws in gamma_th / gamma_0.
 """
 from __future__ import annotations
 
@@ -13,18 +15,18 @@ from itertools import combinations_with_replacement
 
 from .channel import LinkBudget
 from .dgg import CascadeParams, DggParams, cascade_coeffs, cascade_shapes, dgg_psi_phi
-from .exact_stats import CombinedSnrStat, RisEnsemble, gamma_cdf, snr_spec
-from .foxh import QuadratureConfig, eval_foxh
+from .exact_stats import CombinedSnrStat, RisEnsemble, snr_functional
+from .foxh import QuadratureConfig
 
 __all__ = [
     "ModulationParams",
     "DiversityReport",
+    "branch_outage",
+    "branch_ber",
     "outage_exact",
     "outage_asymptotic",
     "ber_exact",
     "diversity",
-    "baseline_dt",
-    "baseline_ris",
 ]
 
 
@@ -48,36 +50,56 @@ class DiversityReport:
     direct_min: float
 
 
-def outage_exact(
-    stat: CombinedSnrStat, gamma_th: float, quad: QuadratureConfig = QuadratureConfig()
+def branch_outage(
+    elements: tuple[CascadeParams, ...],
+    direct: DggParams | None,
+    budget: LinkBudget,
+    gamma_th: float,
+    quad: QuadratureConfig = QuadratureConfig(),
 ) -> float:
-    """P(combined SNR <= gamma_th), exact."""
-    outage = gamma_cdf(stat, gamma_th, quad)
+    """P(SNR <= gamma_th) of a branch set, exact.
+
+    The branches are those of ``exact_stats.snr_spec``: the reflecting
+    ``elements`` and the ``direct`` link, either of which may be absent.
+    """
+    outage = snr_functional(elements, direct, budget, "cdf", gamma_th, quad)
     if not 0.0 < outage <= 1.0:
         raise RuntimeError(f"outage {outage} outside (0, 1]; evaluation unreliable")
     return outage
 
 
-def ber_exact(
-    stat: CombinedSnrStat, mod: ModulationParams, quad: QuadratureConfig = QuadratureConfig()
+def branch_ber(
+    elements: tuple[CascadeParams, ...],
+    direct: DggParams | None,
+    budget: LinkBudget,
+    mod: ModulationParams,
+    quad: QuadratureConfig = QuadratureConfig(),
 ) -> float:
-    """Average bit error rate under conditional error a*Q(sqrt(2*b*snr)).
+    """Average bit error rate of a branch set under conditional error a*Q(sqrt(2*b*snr)).
 
     Integrating the conditional error against the SNR density by parts
     leaves a Gamma-weighted Mellin transform of the CDF, which folds into
     the CDF's own contour integral as one extra Gamma factor and a
     rescaling of the SNR arguments by b.
     """
-    ens = stat.ensemble
-    ber = _average_ber(ens.elements, ens.direct, stat.budget, mod, quad)
+    ber = mod.a * snr_functional(elements, direct, budget, "ber", 1.0 / mod.b, quad)
     if not 0.0 < ber < 1.0:
         raise RuntimeError(f"average BER {ber} outside (0, 1); evaluation unreliable")
     return ber
 
 
-def _average_ber(elements, direct, budget: LinkBudget, mod: ModulationParams, quad) -> float:
-    logc, spec = snr_spec(elements, direct, budget, "ber", 1.0 / mod.b)
-    return mod.a * math.exp(logc) * eval_foxh(spec, quad)[0]
+def outage_exact(
+    stat: CombinedSnrStat, gamma_th: float, quad: QuadratureConfig = QuadratureConfig()
+) -> float:
+    """P(combined SNR <= gamma_th), exact."""
+    return branch_outage(stat.ensemble.elements, stat.ensemble.direct, stat.budget, gamma_th, quad)
+
+
+def ber_exact(
+    stat: CombinedSnrStat, mod: ModulationParams, quad: QuadratureConfig = QuadratureConfig()
+) -> float:
+    """Average bit error rate of the combined link under conditional error a*Q(sqrt(2*b*snr))."""
+    return branch_ber(stat.ensemble.elements, stat.ensemble.direct, stat.budget, mod, quad)
 
 
 # ---------------------------------------------------------------------------
@@ -241,35 +263,3 @@ def diversity(ensemble: RisEnsemble) -> DiversityReport:
         per_element_minima=minima,
         direct_min=direct_min,
     )
-
-
-# ---------------------------------------------------------------------------
-# single-branch baselines (degenerate members of the same contour family)
-
-
-def _branch_outage_ber(elements, direct, budget, gamma_th, mod, quad) -> tuple[float, float]:
-    logc, spec = snr_spec(elements, direct, budget, "cdf", gamma_th)
-    outage = math.exp(logc) * eval_foxh(spec, quad)[0]
-    return outage, _average_ber(elements, direct, budget, mod, quad)
-
-
-def baseline_dt(
-    direct: DggParams,
-    budget: LinkBudget,
-    gamma_th: float,
-    mod: ModulationParams,
-    quad: QuadratureConfig = QuadratureConfig(),
-) -> tuple[float, float]:
-    """(outage, average BER) of direct transmission alone."""
-    return _branch_outage_ber((), direct, budget, gamma_th, mod, quad)
-
-
-def baseline_ris(
-    ensemble: RisEnsemble,
-    budget: LinkBudget,
-    gamma_th: float,
-    mod: ModulationParams,
-    quad: QuadratureConfig = QuadratureConfig(),
-) -> tuple[float, float]:
-    """(outage, average BER) of the reflected branch alone (no direct link)."""
-    return _branch_outage_ber(ensemble.elements, None, budget, gamma_th, mod, quad)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .channel import SPEED_OF_LIGHT, budget, db_to_linear, dbm_to_watt
-from .config import SystemConfig
+from .config import SCENARIOS, SystemConfig
 from .dgg import cascade_sample, dgg_sample
 
 __all__ = [
@@ -34,8 +34,6 @@ __all__ = [
     "estimate_ber",
     "baseline_df_relay",
 ]
-
-SCENARIOS = ("combined", "ris_only", "dt_only", "df_relay")
 
 # Trials per seeding unit. Estimates depend only on (plan, master_seed),
 # because every unit owns a dedicated stream.

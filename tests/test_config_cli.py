@@ -1,5 +1,6 @@
 """Scenario-file parsing, config hashing, and CLI contract."""
 import json
+import pathlib
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,6 +10,7 @@ import pytest
 from rislink.cli import EXIT_ERROR, EXIT_OK, EXIT_WARNINGS, emit_csv, main, run_sweep
 from rislink.config import (
     PRESETS,
+    SCENARIOS,
     ParseError,
     ValidationError,
     config_hash,
@@ -16,6 +18,8 @@ from rislink.config import (
     parse_config_text,
     preset_fading,
 )
+from rislink.metrics import ModulationParams
+from rislink.montecarlo import SimPlan, tally
 
 MINIMAL = """
 n_elements = 1
@@ -34,6 +38,7 @@ def test_minimal_config_parses():
     assert cfg.system.n_elements == 1
     assert cfg.pt_dbm == (10.0, 20.0)
     assert cfg.methods == ("exact", "mc")
+    assert cfg.scenario == "combined"
     assert cfg.gamma_th == pytest.approx(1.0)
 
 
@@ -76,6 +81,9 @@ def test_parse_errors_carry_location():
         parse_config_text("n_elements = 1\nfading_preset = FP9\npt_dbm = 10\n")
     with pytest.raises(ParseError):
         parse_config_text(MINIMAL + "methods = exact,magic\n")
+    with pytest.raises(ParseError) as exc:
+        parse_config_text(MINIMAL + "scenario = relay\n")
+    assert exc.value.key == "scenario"
 
 
 def test_validation_collects_all_problems():
@@ -112,6 +120,7 @@ def test_config_hash_semantic():
     assert config_hash(a) == config_hash(parse_config_text(MINIMAL))
     assert config_hash(a) != config_hash(replace(a, mc_seed=1))
     assert config_hash(a) != config_hash(replace(a, gamma_th_db=3.0))
+    assert config_hash(a) != config_hash(replace(a, scenario="dt_only"))
     # output path is presentation, not semantics
     assert config_hash(a) == config_hash(replace(a, output="x.csv"))
     assert len(config_hash(a)) == 16
@@ -169,6 +178,93 @@ def test_run_sweep_simulates_once_for_both_quantities(monkeypatch):
     assert calls == [20_000]
     outage, ber = run_sweep(cfg, "outage"), run_sweep(cfg, "ber")
     assert both.rows[0] == outage.rows[0] + ber.rows[0][1:]
+
+
+# ---------------------------------------------------------------------------
+# scenario axis: one sweep runner for every link the paper compares
+
+
+def scenario_cfg(scenario, n=1, pt="10 20", methods="exact,mc"):
+    return parse_config_text(
+        f"scenario = {scenario}\nn_elements = {n}\nfading_preset = FP1\n"
+        f"pt_dbm = {pt}\nmethods = {methods}\nmc_trials = 20000\n"
+    )
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_run_sweep_mc_cells_simulate_the_scenario(scenario):
+    cfg = scenario_cfg(scenario, n=2, methods="mc")
+    result = run_sweep(cfg, "both")
+    assert dict(result.metadata)["scenario"] == scenario
+    for row in result.rows:
+        plan = SimPlan(cfg.system, row[0], cfg.mc_trials, cfg.mc_seed, scenario=scenario)
+        mc = tally(plan, cfg.gamma_th, ModulationParams(cfg.modulation_a, cfg.modulation_b))
+        out, ber = mc.outage(), mc.ber()
+        cells = dict(zip(result.columns, row))
+        assert (cells["outage_mc"], cells["outage_mc_se"]) == (out.mean, out.std_error)
+        assert (cells["ber_mc"], cells["ber_mc_se"]) == (ber.mean, ber.std_error)
+
+
+# (outage, BER) of direct transmission and of the reflected branch alone at
+# the scenario defaults (0 dB threshold, a = b = 1), as the single-branch
+# baselines of the metrics module computed them before the scenario axis.
+FROZEN_BRANCH_CELLS = [
+    ("dt_only", 1, 0.0, 0.7809447411650625, 0.2460284524454088),
+    ("dt_only", 1, 20.0, 0.11784816658491147, 0.030909824392149256),
+    ("dt_only", 6, 20.0, 0.11784816658491147, 0.030909824392149256),  # no element cap
+    ("ris_only", 1, 90.0, 0.1334143357519333, 0.03380146441149867),
+    ("ris_only", 2, 90.0, 0.00601770885588131, 0.0015514945344478918),
+]
+
+
+@pytest.mark.parametrize("scenario,n,pt,outage,ber", FROZEN_BRANCH_CELLS)
+def test_run_sweep_exact_branch_cells_frozen(scenario, n, pt, outage, ber):
+    result = run_sweep(scenario_cfg(scenario, n, pt, methods="exact"), "both")
+    assert not result.warnings
+    assert result.columns == ("pt_dbm", "outage_exact", "ber_exact")
+    assert result.rows[0][1] == pytest.approx(outage, rel=1e-12)
+    assert result.rows[0][2] == pytest.approx(ber, rel=1e-12)
+
+
+def test_df_relay_exact_falls_back_to_mc():
+    result = run_sweep(scenario_cfg("df_relay", methods="exact"), "outage")
+    assert result.columns == ("pt_dbm", "outage_mc", "outage_mc_se")
+    assert len(result.warnings) == 1
+    assert "df_relay" in result.warnings[0] and "Monte-Carlo" in result.warnings[0]
+
+
+@pytest.mark.parametrize("scenario", ["ris_only", "dt_only", "df_relay"])
+def test_asymptote_dropped_outside_combined(scenario):
+    result = run_sweep(scenario_cfg(scenario, methods="asymptotic"), "outage")
+    assert result.columns == ("pt_dbm", "outage_mc", "outage_mc_se")
+    assert len(result.warnings) == 1
+    assert "asymptote" in result.warnings[0]
+
+
+def test_ris_only_out_of_range_exact_outage_left_empty():
+    # the evaluated CDF of the reflected branch alone is 1 + 3.8e-8 here
+    result = run_sweep(scenario_cfg("ris_only", n=2, pt="-10", methods="exact"), "both")
+    outage, ber = result.rows[0][1:]
+    assert outage is None
+    assert ber == pytest.approx(0.4999404640566385, rel=1e-12)
+    assert len(result.warnings) == 1
+    assert result.warnings[0].startswith("outage_exact failed at pt=-10 dBm")
+
+
+# ---------------------------------------------------------------------------
+# paper curves: one scenario file per curve, its CSV under results/
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_paper_curves_match_their_scenarios():
+    curves = sorted((ROOT / "scenarios").glob("*.cfg"))
+    assert curves
+    for cfg_path in curves:
+        cfg = load_config(str(cfg_path))
+        csv_text = (ROOT / "results" / f"{cfg_path.stem}.csv").read_text()
+        assert f"# config_hash: {config_hash(cfg)}\n" in csv_text, cfg_path.name
+    assert {p.stem for p in (ROOT / "results").glob("*.csv")} == {p.stem for p in curves}
 
 
 def test_run_sweep_rejects_unknown_quantity():
@@ -241,6 +337,24 @@ def test_cli_missing_config_is_error(tmp_path):
 def test_cli_invalid_config_is_error(tmp_path):
     cfg = write_cfg(tmp_path, text="mc_trials = 1\n")
     assert main(["outage", "--config", cfg]) == EXIT_ERROR
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (["--trials", "100"], MINIMAL),
+        (["--methods", "magic"], MINIMAL),
+        (["--seed", "-1"], MINIMAL),
+        ([], MINIMAL + "mc_seed = -1\n"),
+    ],
+    ids=["trials-flag", "methods-flag", "seed-flag", "seed-key"],
+)
+def test_cli_invalid_setting_is_error(tmp_path, capsys, argv, text):
+    cfg = write_cfg(tmp_path, text=text)
+    out = tmp_path / "c.csv"
+    assert main(["outage", "--config", cfg, "--output", str(out), "--quiet", *argv]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_cli_fallback_warning_exit_code(tmp_path):

@@ -88,6 +88,23 @@ def test_hris_cdf_matches_empirical():
         assert hris_cdf(ens, z) == pytest.approx(emp, abs=4 * se)
 
 
+# (preset, N, z, functional, value) of the amplitude sum before its density
+# and distribution function became callers of snr_spec
+FROZEN_HRIS = [
+    ("FP1", 1, 1.0, "pdf", 0.3878137194198893),
+    ("FP3", 2, 0.5, "pdf", 0.2647312472438131),
+    ("FP2", 2, 2.0, "cdf", 0.5183946949340026),
+    ("FP1", 2, 4.0, "cdf", 0.8937453556111237),
+]
+
+
+@pytest.mark.parametrize("preset,n,z,functional,value", FROZEN_HRIS)
+def test_hris_values_frozen(preset, n, z, functional, value):
+    cascade, direct = preset_fading(preset)
+    fn = hris_pdf if functional == "pdf" else hris_cdf
+    assert fn(RisEnsemble.identical(n, cascade, direct), z) == pytest.approx(value, rel=1e-12)
+
+
 def test_hris_cdf_monotone():
     ens = RisEnsemble.identical(1, CASCADE, DIRECT)
     vals = [hris_cdf(ens, z) for z in (0.5, 1.0, 2.0, 4.0)]
@@ -196,6 +213,8 @@ def test_input_validation():
         gamma_pdf(stat, -1.0)
     with pytest.raises(ValueError):
         hris_pdf(stat.ensemble, 0.0)
+    with pytest.raises(ValueError):
+        hris_cdf(stat.ensemble, -1.0)
     with pytest.raises(ValueError):
         mgf_gamma_d(DIRECT, BUD, 0.0)
     with pytest.raises(ValueError):

@@ -11,9 +11,9 @@ from rislink.dgg import cascade_sample, dgg_sample
 from rislink.exact_stats import RisEnsemble, combined_snr_stat, gamma_cdf
 from rislink.metrics import (
     ModulationParams,
-    baseline_dt,
-    baseline_ris,
     ber_exact,
+    branch_ber,
+    branch_outage,
     diversity,
     outage_asymptotic,
     outage_exact,
@@ -143,12 +143,16 @@ def test_diversity_orders(preset, n, out_slope, out_icept, ber_slope, ber_icept)
 
 
 # ---------------------------------------------------------------------------
-# single-branch baselines
+# single-branch baselines: the branch-set entry points without one branch
+
+
+def branch_outage_ber(elements, direct, bud, gamma_th):
+    return branch_outage(elements, direct, bud, gamma_th), branch_ber(elements, direct, bud, MOD)
 
 
 def test_baseline_dt_matches_simulation():
     bud = budget(GEOM, 20.0)
-    outage, ber = baseline_dt(DIRECT, bud, 1.0, MOD)
+    outage, ber = branch_outage_ber((), DIRECT, bud, 1.0)
     rng = np.random.default_rng(31)
     snr = bud.gamma0_d * dgg_sample(DIRECT, rng, 400_000) ** 2
     emp_out = float(np.mean(snr <= 1.0))
@@ -161,8 +165,7 @@ def test_baseline_dt_matches_simulation():
 
 def test_baseline_ris_matches_simulation():
     bud = budget(GEOM, 90.0)
-    ens = RisEnsemble.identical(2, CASCADE, DIRECT)
-    outage, ber = baseline_ris(ens, bud, 1.0, MOD)
+    outage, ber = branch_outage_ber((CASCADE,) * 2, None, bud, 1.0)
     rng = np.random.default_rng(32)
     h = cascade_sample(CASCADE, rng, 400_000) + cascade_sample(CASCADE, rng, 400_000)
     snr = bud.gamma0_ris * h**2
@@ -177,6 +180,12 @@ def test_baseline_ris_matches_simulation():
 def test_baseline_validation():
     bud = budget(GEOM, 20.0)
     with pytest.raises(ValueError):
-        baseline_dt(DIRECT, bud, 0.0, MOD)
+        branch_outage((), DIRECT, bud, 0.0)
     with pytest.raises(ValueError):
-        baseline_ris(RisEnsemble.identical(1, CASCADE, DIRECT), bud, -1.0, MOD)
+        branch_outage((CASCADE,), None, bud, -1.0)
+
+
+def test_branch_outage_out_of_range_raises():
+    # the reflected branch alone at -10 dBm: the evaluated CDF is 1 + 3.8e-8
+    with pytest.raises(RuntimeError, match="outside"):
+        branch_outage((CASCADE,) * 2, None, budget(GEOM, -10.0), 1.0)
