@@ -6,7 +6,7 @@ evaluator against Monte-Carlo, and ``foxh-eval`` evaluates a contour-
 integral spec from a JSON file for debugging.
 
 Exit codes: 0 success, 1 hard error, 2 success with warnings (e.g. the
-exact method was downgraded to Monte-Carlo above the element cap).
+exact method was downgraded to Monte-Carlo above the contour-variable cap).
 """
 from __future__ import annotations
 
@@ -26,8 +26,10 @@ from .config import (
     parse_methods,
     setting_problems,
 )
-from .exact_stats import N_EXACT_MAX, combined_snr_stat
+from .exact_stats import combined_snr_stat
 from .foxh import (
+    HALF_LENGTH,
+    MAX_DIMS,
     FoxHSpec,
     GammaTerm,
     NoValidContour,
@@ -73,8 +75,11 @@ def _effective_methods(config: ScenarioConfig, warnings: list[str]) -> tuple[str
     if "exact" in methods:
         if branches is None:
             unavailable["exact"] = f"exact evaluation has no route for scenario '{config.scenario}'"
-        elif len(branches[0]) > N_EXACT_MAX:
-            unavailable["exact"] = f"exact evaluation capped at N={N_EXACT_MAX}, got N={len(branches[0])}"
+        else:
+            # one contour variable per element, one more for the direct link
+            nvars = len(branches[0]) + (branches[1] is not None)
+            if nvars > MAX_DIMS:
+                unavailable["exact"] = f"{nvars} contour variables exceed MAX_DIMS={MAX_DIMS}"
     if "asymptotic" in methods and config.scenario != "combined":
         unavailable["asymptotic"] = f"no asymptote for scenario '{config.scenario}', only for 'combined'"
     for method, reason in unavailable.items():
@@ -173,7 +178,7 @@ def run_sweep(config: ScenarioConfig, quantity: str = "outage") -> CurveResult:
         ("methods", ",".join(methods)),
         ("mc_trials", str(config.mc_trials)),
         ("mc_seed", str(config.mc_seed)),
-        ("quadrature", f"half_length={quad.half_length} step={quad.step} rel_tol={quad.rel_tol}"),
+        ("quadrature", f"half_length={HALF_LENGTH} step={quad.step} rel_tol={quad.rel_tol}"),
     ]
     for i, w in enumerate(warnings):
         metadata.append((f"warning_{i}", w))
@@ -217,7 +222,7 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
         updates["mc_seed"] = args.seed
     if args.trials is not None:
         updates["mc_trials"] = args.trials
-    if args.methods is not None:
+    if getattr(args, "methods", None) is not None:  # verify runs a fixed method set
         updates["methods"] = parse_methods(args.methods)
     if args.output is not None:
         updates["output"] = args.output
@@ -241,7 +246,7 @@ def _cmd_sweep(args, quantity: str) -> int:
 
 
 def _cmd_diversity(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
+    config = load_config(args.config)
     report = diversity(config.system.ensemble())
     print(f"g_out = {report.g_out:.6g}")
     print(f"g_ber = {report.g_ber:.6g}")
@@ -256,29 +261,27 @@ n_elements = 1
 fading_preset = FP1
 pt_dbm = 10 15 20 25
 methods = exact,mc
+mc_trials = 200000
 """
 
 
 def _cmd_verify(args) -> int:
     config = _apply_overrides(parse_config_text(_VERIFY_TEXT), args)
-    if args.trials is None:
-        config = replace(config, mc_trials=200_000)
     result = run_sweep(config, "both")
     cols = result.columns
     failures = []
     rows = []
     for row in result.rows:
         cells = dict(zip(cols, row))
-        ok = True
+        checked = len(failures)
         for exact_key, mc_key in (("outage_exact", "outage_mc"), ("ber_exact", "ber_mc")):
             ex, mc, se = cells.get(exact_key), cells.get(mc_key), cells.get(mc_key + "_se")
+            where = f"{exact_key} vs {mc_key} at pt={cells['pt_dbm']:g}"
             if ex is None or mc is None:
-                ok = False
-                continue
-            if abs(ex - mc) > 3.0 * se:
-                ok = False
-                failures.append(f"{exact_key} vs {mc_key} at pt={cells['pt_dbm']:g}")
-        rows.append(row + (1.0 if ok else 0.0,))
+                failures.append(f"{where}: value missing")
+            elif abs(ex - mc) > 3.0 * se:
+                failures.append(where)
+        rows.append(row + (1.0 if len(failures) == checked else 0.0,))
     verified = CurveResult(
         columns=cols + ("within_3sigma",),
         rows=tuple(rows),
@@ -326,30 +329,39 @@ def _cmd_foxh_eval(args) -> int:
     return EXIT_OK
 
 
+_FLAGS = {
+    "--config": dict(required=True, help="scenario file (JSON spec file for foxh-eval)"),
+    "--output": dict(help="CSV output path (default stdout)"),
+    "--seed": dict(type=int, help="override Monte-Carlo seed"),
+    "--trials": dict(type=int, help="override Monte-Carlo trials"),
+    "--methods": dict(help="comma list from exact,asymptotic,mc"),
+    "--quiet": dict(action="store_true", help="suppress progress chatter"),
+}
+
+# (name, help, flags): each subcommand takes only the flags it reads.
+_SUBCOMMANDS = (
+    ("outage", "transmit-power sweep of outage probability", tuple(_FLAGS)),
+    ("ber", "transmit-power sweep of average BER", tuple(_FLAGS)),
+    ("diversity", "print diversity orders for a configuration", ("--config",)),
+    (
+        "verify",
+        "cross-check exact evaluation against Monte-Carlo",
+        ("--output", "--seed", "--trials", "--quiet"),
+    ),
+    ("foxh-eval", "evaluate a contour-integral spec from JSON", ("--config", "--quiet")),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rislink",
         description="Outage and BER of a reflecting-surface link with direct combining",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("outage", "transmit-power sweep of outage probability"),
-        ("ber", "transmit-power sweep of average BER"),
-        ("diversity", "print diversity orders for a configuration"),
-        ("verify", "cross-check exact evaluation against Monte-Carlo"),
-        ("foxh-eval", "evaluate a contour-integral spec from JSON"),
-    ):
+    for name, help_text, flags in _SUBCOMMANDS:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument(
-            "--config",
-            required=name not in ("verify",),
-            help="scenario file (JSON spec file for foxh-eval)",
-        )
-        p.add_argument("--output", default=None, help="CSV output path (default stdout)")
-        p.add_argument("--seed", type=int, default=None, help="override Monte-Carlo seed")
-        p.add_argument("--trials", type=int, default=None, help="override Monte-Carlo trials")
-        p.add_argument("--methods", default=None, help="comma list from exact,asymptotic,mc")
-        p.add_argument("--quiet", action="store_true", help="suppress progress chatter")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 

@@ -71,9 +71,21 @@ class ValidationError(ValueError):
         self.problems = list(problems)
 
 
+# Reference geometry, each value overridable by the scenario key of its name:
+# 6 GHz, 10/0 dBi gains, 50 m + 100 m segments; and the receiver noise floor.
+_GEOMETRY_KEYS = {
+    "freq_hz": 6e9,
+    "gain_tx_dbi": 10.0,
+    "gain_rx_dbi": 0.0,
+    "d1_m": 50.0,
+    "d2_m": 100.0,
+}
+_NOISE_DBM = -74.0
+
+
 def default_geometry() -> LinkGeometry:
-    """Reference geometry: 6 GHz, 10/0 dBi gains, 50 m + 100 m segments."""
-    return LinkGeometry(freq_hz=6e9, gain_tx_dbi=10.0, gain_rx_dbi=0.0, d1_m=50.0, d2_m=100.0)
+    """Reference geometry of every preset system and scenario file."""
+    return LinkGeometry(**_GEOMETRY_KEYS)
 
 
 def _dgg_from_shapes(shapes) -> DggParams:
@@ -112,19 +124,11 @@ class SystemConfig:
         return RisEnsemble(elements=self.elements, direct=self.direct)
 
 
-def preset_system(
-    name: str,
-    n_elements: int,
-    geometry: LinkGeometry | None = None,
-    noise_dbm: float = -74.0,
-) -> SystemConfig:
+def preset_system(name: str, n_elements: int) -> SystemConfig:
+    """N identical elements of a named preset, at the reference geometry and noise floor."""
     cascade, direct = preset_fading(name)
-    return SystemConfig(
-        geometry=geometry or default_geometry(),
-        noise_dbm=noise_dbm,
-        elements=(cascade,) * n_elements,
-        direct=direct,
-    )
+    elements = (cascade,) * n_elements
+    return SystemConfig(geometry=default_geometry(), noise_dbm=_NOISE_DBM, elements=elements, direct=direct)
 
 
 @dataclass(frozen=True)
@@ -152,34 +156,6 @@ class ScenarioConfig:
 
 
 _VALID_METHODS = ("exact", "asymptotic", "mc")
-
-_GEOMETRY_KEYS = {
-    "freq_hz": 6e9,
-    "gain_tx_dbi": 10.0,
-    "gain_rx_dbi": 0.0,
-    "d1_m": 50.0,
-    "d2_m": 100.0,
-}
-
-_KNOWN_KEYS = set(_GEOMETRY_KEYS) | {
-    "noise_dbm",
-    "n_elements",
-    "fading_preset",
-    "ris_fading",
-    "direct_fading",
-    "modulation_a",
-    "modulation_b",
-    "pt_dbm",
-    "pt_start_dbm",
-    "pt_stop_dbm",
-    "pt_step_db",
-    "gamma_th_db",
-    "methods",
-    "mc_trials",
-    "mc_seed",
-    "scenario",
-    "output",
-}
 
 
 def _parse_fading_block(value: str, key: str, line: int) -> DggParams:
@@ -237,9 +213,6 @@ def parse_config_text(text: str) -> ScenarioConfig:
         if key in target:
             raise ParseError("duplicate key", lineno, key)
         target[key] = (value, lineno)
-    for key, (_, lineno) in entries.items():
-        if key not in _KNOWN_KEYS:
-            raise ParseError("unknown key", lineno, key)
 
     def take(key: str, default=None):
         return entries.pop(key, (default, None))
@@ -267,7 +240,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
     geom_kwargs = {}
     for key, default in _GEOMETRY_KEYS.items():
         geom_kwargs[key] = take_float(key, default)
-    noise_dbm = take_float("noise_dbm", -74.0)
+    noise_dbm = take_float("noise_dbm", _NOISE_DBM)
 
     n_elements = take_int("n_elements")
     if n_elements is None:
@@ -343,6 +316,8 @@ def parse_config_text(text: str) -> ScenarioConfig:
     mc_seed = take_int("mc_seed", 0)
     problems += setting_problems(methods, mc_trials, mc_seed)
     output, _ = take("output")
+    for key, (_, lineno) in entries.items():  # left over: no take() consumes it
+        raise ParseError("unknown key", lineno, key)
 
     try:
         geometry = LinkGeometry(**geom_kwargs)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .foxh import FoxHSpec, GammaTerm, QuadratureConfig, eval_foxh, suggest_anchors
+from .foxh import FoxHSpec, GammaTerm, eval_foxh, suggest_anchors
 
 __all__ = [
     "DggParams",
@@ -83,12 +83,12 @@ def _dgg_pdf_spec(p: DggParams, x: float) -> tuple[float, FoxHSpec]:
     return coeff, spec
 
 
-def dgg_pdf(p: DggParams, x: float, quad: QuadratureConfig = QuadratureConfig()) -> float:
+def dgg_pdf(p: DggParams, x: float) -> float:
     """Analytic dGG density at x > 0."""
     if x <= 0:
         raise ValueError("dgg_pdf requires x > 0")
     coeff, spec = _dgg_pdf_spec(p, x)
-    value, _ = eval_foxh(spec, quad)
+    value, _ = eval_foxh(spec)
     return coeff * value
 
 
@@ -141,7 +141,7 @@ def cascade_shapes(c: CascadeParams) -> tuple[tuple[float, float], ...]:
     )
 
 
-def product_pdf(c: CascadeParams, z: float, quad: QuadratureConfig = QuadratureConfig()) -> float:
+def product_pdf(c: CascadeParams, z: float) -> float:
     """Density of the product of the two hop variates at z > 0."""
     if z <= 0:
         raise ValueError("product_pdf requires z > 0")
@@ -149,11 +149,11 @@ def product_pdf(c: CascadeParams, z: float, quad: QuadratureConfig = QuadratureC
     a2 = c.hop1.alpha2
     terms = tuple(GammaTerm(beta, (a2 / alpha,)) for alpha, beta in cascade_shapes(c))
     spec = FoxHSpec(args=(z**a2 / B,), terms=terms, contour_re=suggest_anchors(terms, 1))
-    value, _ = eval_foxh(spec, quad)
+    value, _ = eval_foxh(spec)
     return A * B ** c.hop1.beta2 / z * value
 
 
-def product_mgf(c: CascadeParams, s: float, quad: QuadratureConfig = QuadratureConfig()) -> float:
+def product_mgf(c: CascadeParams, s: float) -> float:
     """Laplace transform E[exp(-s * Z)] of the two-hop product, s > 0."""
     if s <= 0:
         raise ValueError("product_mgf requires s > 0")
@@ -168,7 +168,7 @@ def product_mgf(c: CascadeParams, s: float, quad: QuadratureConfig = QuadratureC
             terms.append(GammaTerm(beta - r * b2, (r,)))
     terms = tuple(terms)
     spec = FoxHSpec(args=(s**-a2 / B,), terms=terms, contour_re=suggest_anchors(terms, 1))
-    value, _ = eval_foxh(spec, quad)
+    value, _ = eval_foxh(spec)
     return A * s ** (-a2 * b2) * value
 
 

@@ -12,11 +12,9 @@ from dataclasses import dataclass
 
 from .channel import LinkBudget
 from .dgg import CascadeParams, DggParams, cascade_coeffs, cascade_shapes, dgg_psi_phi
-from .foxh import MAX_DIMS, FoxHSpec, GammaTerm, QuadratureConfig, eval_foxh, suggest_anchors
+from .foxh import FoxHSpec, GammaTerm, QuadratureConfig, eval_foxh, suggest_anchors
 
 __all__ = [
-    "N_EXACT_MAX",
-    "ExactCapExceeded",
     "RisEnsemble",
     "CombinedSnrStat",
     "combined_snr_stat",
@@ -29,18 +27,6 @@ __all__ = [
     "mgf_gamma_ris",
     "mgf_gamma_d",
 ]
-
-# The combined SNR needs one contour variable per element plus one for the
-# direct link, and the evaluator takes at most MAX_DIMS variables; callers
-# fall back to the Monte-Carlo route beyond this many reflecting elements.
-N_EXACT_MAX = MAX_DIMS - 1
-
-
-class ExactCapExceeded(RuntimeError):
-    def __init__(self, n: int):
-        super().__init__(f"exact evaluation capped at N={N_EXACT_MAX} elements, got N={n}")
-        self.n = n
-
 
 @dataclass(frozen=True)
 class RisEnsemble:
@@ -152,8 +138,6 @@ def snr_spec(
     if x <= 0:
         raise ValueError("requires x > 0")
     n = len(elements)
-    if n > N_EXACT_MAX:
-        raise ExactCapExceeded(n)
     nvars = n + (direct is not None)
     a2 = tuple(c.hop1.alpha2 for c in elements)
     half = tuple(a / 2.0 for a in a2)
@@ -198,16 +182,16 @@ def snr_functional(
     return math.exp(logc) * eval_foxh(spec, quad)[0]
 
 
-def gamma_pdf(stat: CombinedSnrStat, g: float, quad: QuadratureConfig = QuadratureConfig()) -> float:
+def gamma_pdf(stat: CombinedSnrStat, g: float) -> float:
     """Density of the combined SNR at g > 0."""
     ens = stat.ensemble
-    return snr_functional(ens.elements, ens.direct, stat.budget, "pdf", g, quad)
+    return snr_functional(ens.elements, ens.direct, stat.budget, "pdf", g)
 
 
-def gamma_cdf(stat: CombinedSnrStat, g: float, quad: QuadratureConfig = QuadratureConfig()) -> float:
+def gamma_cdf(stat: CombinedSnrStat, g: float) -> float:
     """Distribution function of the combined SNR at g > 0."""
     ens = stat.ensemble
-    return snr_functional(ens.elements, ens.direct, stat.budget, "cdf", g, quad)
+    return snr_functional(ens.elements, ens.direct, stat.budget, "cdf", g)
 
 
 # ---------------------------------------------------------------------------
@@ -216,43 +200,33 @@ def gamma_cdf(stat: CombinedSnrStat, g: float, quad: QuadratureConfig = Quadratu
 _UNIT_BUDGET = LinkBudget(h_l_ris=1.0, h_l=1.0, gamma0_ris=1.0, gamma0_d=1.0, pt_dbm=0.0, noise_dbm=0.0)
 
 
-def hris_pdf(ensemble: RisEnsemble, z: float, quad: QuadratureConfig = QuadratureConfig()) -> float:
+def hris_pdf(ensemble: RisEnsemble, z: float) -> float:
     """Density of the summed element amplitudes at z > 0."""
     if z <= 0:
         raise ValueError("requires z > 0")
-    return 2.0 * z * snr_functional(ensemble.elements, None, _UNIT_BUDGET, "pdf", z * z, quad)
+    return 2.0 * z * snr_functional(ensemble.elements, None, _UNIT_BUDGET, "pdf", z * z)
 
 
-def hris_cdf(ensemble: RisEnsemble, z: float, quad: QuadratureConfig = QuadratureConfig()) -> float:
+def hris_cdf(ensemble: RisEnsemble, z: float) -> float:
     """Distribution function of the summed element amplitudes at z > 0."""
     if z <= 0:
         raise ValueError("requires z > 0")
-    return snr_functional(ensemble.elements, None, _UNIT_BUDGET, "cdf", z * z, quad)
+    return snr_functional(ensemble.elements, None, _UNIT_BUDGET, "cdf", z * z)
 
 
 # ---------------------------------------------------------------------------
 # branch MGFs (testable waypoints of the same Gamma structure)
 
 
-def mgf_gamma_ris(
-    ensemble: RisEnsemble,
-    budget: LinkBudget,
-    s: float,
-    quad: QuadratureConfig = QuadratureConfig(),
-) -> float:
+def mgf_gamma_ris(ensemble: RisEnsemble, budget: LinkBudget, s: float) -> float:
     """E[exp(-s * SNR_reflected)] for s > 0."""
     if s <= 0:
         raise ValueError("requires s > 0")
-    return snr_functional(ensemble.elements, None, budget, "mgf", 1.0 / s, quad)
+    return snr_functional(ensemble.elements, None, budget, "mgf", 1.0 / s)
 
 
-def mgf_gamma_d(
-    direct: DggParams,
-    budget: LinkBudget,
-    s: float,
-    quad: QuadratureConfig = QuadratureConfig(),
-) -> float:
+def mgf_gamma_d(direct: DggParams, budget: LinkBudget, s: float) -> float:
     """E[exp(-s * SNR_direct)] for s > 0."""
     if s <= 0:
         raise ValueError("requires s > 0")
-    return snr_functional((), direct, budget, "mgf", 1.0 / s, quad)
+    return snr_functional((), direct, budget, "mgf", 1.0 / s)

@@ -27,6 +27,7 @@ from .special import log_gamma
 
 __all__ = [
     "MAX_DIMS",
+    "HALF_LENGTH",
     "GammaTerm",
     "FoxHSpec",
     "QuadratureConfig",
@@ -38,11 +39,13 @@ __all__ = [
     "dump_spec",
 ]
 
-# Variables in one class cost a convolution, but distinct classes still
-# span a K^classes table. The cap (and N_EXACT_MAX = MAX_DIMS - 1 with it)
-# stays until N>=3 is validated against the planned conditional
-# Monte-Carlo oracle.
+# The one cap on exact evaluation: variables in one class cost a
+# convolution, but distinct classes still span a K^classes table.
 MAX_DIMS = 3
+# longest half-length of an imaginary axis, and step halvings or
+# truncation extensions before giving up
+HALF_LENGTH = 40.0
+_MAX_REFINEMENTS = 4
 # lattice points of the cross table evaluated per chunk
 _CHUNK_ROWS = 200_000
 
@@ -85,16 +88,12 @@ class GammaTerm:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    half_length: float = 40.0
     step: float = 0.08
     rel_tol: float = 1e-6
-    max_refinements: int = 4
 
     def __post_init__(self):
-        if min(self.half_length, self.step, self.rel_tol) <= 0:
-            raise ValueError("half_length, step and rel_tol must be positive")
-        if self.max_refinements < 0:
-            raise ValueError("max_refinements must be nonnegative")
+        if min(self.step, self.rel_tol) <= 0:
+            raise ValueError("step and rel_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -248,7 +247,7 @@ def _scan_truncation(spec: FoxHSpec, quad: QuadratureConfig) -> np.ndarray:
     than any single-axis scan suggests.
     """
     n = spec.num_vars
-    probe = np.arange(0.0, quad.half_length + 0.25, 0.25)
+    probe = np.arange(0.0, HALF_LENGTH + 0.25, 0.25)
     base = float(np.real(_log_at(spec, np.zeros((1, n)))[0]))
     threshold = base + math.log(min(1e-10, quad.rel_tol * 1e-4))
 
@@ -265,7 +264,7 @@ def _scan_truncation(spec: FoxHSpec, quad: QuadratureConfig) -> np.ndarray:
         for signs in ((1.0,) * n, (1.0,) * (n - 1) + (-1.0,)):
             diag = reach(probe[:, None] * np.asarray(signs))
             T = np.maximum(T, diag)
-    return np.minimum(np.maximum(T + 1.0, 4.0), quad.half_length)
+    return np.minimum(np.maximum(T + 1.0, 4.0), HALF_LENGTH)
 
 
 def _class_weights(members, axis_logs, axes_y, T):
@@ -398,7 +397,7 @@ def _eval_tensor(spec: FoxHSpec, quad: QuadratureConfig):
 
     value = None
     delta = math.inf
-    for refinement in range(quad.max_refinements + 1):
+    for refinement in range(_MAX_REFINEMENTS + 1):
         # Two equal-step grids, one offset by h/2: both converge
         # exponentially in 1/h, so their disagreement bounds the error
         # without the 2^n cost of halving the step for comparison.
@@ -423,10 +422,10 @@ def _eval_tensor(spec: FoxHSpec, quad: QuadratureConfig):
         floor = quad.rel_tol * (abs(value) + 1e-300) + noise
         if delta <= floor and trunc <= floor:
             return float(value.real), float(max(delta, noise))
-        if refinement == quad.max_refinements:
+        if refinement == _MAX_REFINEMENTS:
             break
-        if trunc > floor and max(T) < quad.half_length:
-            T = np.minimum(1.5 * T, quad.half_length)
+        if trunc > floor and max(T) < HALF_LENGTH:
+            T = np.minimum(1.5 * T, HALF_LENGTH)
         else:
             h /= 2.0
     raise NotConverged(float(delta), float(value.real))
@@ -450,7 +449,7 @@ def eval_foxh(spec: FoxHSpec, quad: QuadratureConfig = QuadratureConfig()):
     than MAX_DIMS contour variables are rejected before any evaluation.
     """
     if spec.num_vars > MAX_DIMS:
-        raise ValueError(f"{spec.num_vars} contour variables; the evaluator takes at most {MAX_DIMS}")
+        raise ValueError(f"MAX_DIMS: at most {MAX_DIMS} contour variables, got {spec.num_vars}")
     return _eval_tensor(spec, quad)
 
 

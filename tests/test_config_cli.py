@@ -1,4 +1,5 @@
 """Scenario-file parsing, config hashing, and CLI contract."""
+import argparse
 import json
 import pathlib
 import subprocess
@@ -7,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+from rislink import cli
 from rislink.cli import EXIT_ERROR, EXIT_OK, EXIT_WARNINGS, emit_csv, main, run_sweep
 from rislink.config import (
     PRESETS,
@@ -17,7 +19,9 @@ from rislink.config import (
     load_config,
     parse_config_text,
     preset_fading,
+    preset_system,
 )
+from rislink.foxh import MAX_DIMS
 from rislink.metrics import ModulationParams
 from rislink.montecarlo import SimPlan, tally
 
@@ -84,6 +88,17 @@ def test_parse_errors_carry_location():
     with pytest.raises(ParseError) as exc:
         parse_config_text(MINIMAL + "scenario = relay\n")
     assert exc.value.key == "scenario"
+
+
+def test_unknown_key_is_a_parse_error_before_validation():
+    # also invalid as a whole (no n_elements, too few trials): the unknown key is reported
+    with pytest.raises(ParseError) as exc:
+        parse_config_text("mc_trials = 1\nd3_m = 10\n")
+    assert (exc.value.line, exc.value.key) == (2, "d3_m")
+
+
+def test_preset_system_matches_scenario_file_defaults():
+    assert parse_config_text(MINIMAL).system == preset_system("FP1", 1)
 
 
 def test_validation_collects_all_problems():
@@ -160,6 +175,25 @@ def test_run_sweep_exact_fallback_above_cap(n_elements):
     assert result.warnings
     assert "outage_exact" not in result.columns
     assert "outage_mc" in result.columns
+
+
+@pytest.mark.parametrize("scenario,n", [("ris_only", 4), ("combined", 3)])
+def test_exact_falls_back_above_max_dims(scenario, n):
+    # one contour variable per element, plus one for the direct link
+    result = run_sweep(scenario_cfg(scenario, n, pt="20"), "outage")
+    assert result.columns == ("pt_dbm", "outage_mc", "outage_mc_se")
+    assert len(result.warnings) == 1
+    assert f"MAX_DIMS={MAX_DIMS}" in result.warnings[0] and "Monte-Carlo" in result.warnings[0]
+
+
+def test_ris_only_three_elements_exact_matches_mc():
+    # three contour variables: the reflected branch alone is exact up to N = MAX_DIMS
+    result = run_sweep(scenario_cfg("ris_only", n=3, pt="70"), "both")
+    assert not result.warnings
+    cells = dict(zip(result.columns, result.rows[0]))
+    for quantity in ("outage", "ber"):
+        exact, mc, se = cells[f"{quantity}_exact"], cells[f"{quantity}_mc"], cells[f"{quantity}_mc_se"]
+        assert abs(exact - mc) <= 3.0 * se, quantity
 
 
 def test_run_sweep_simulates_once_for_both_quantities(monkeypatch):
@@ -328,6 +362,55 @@ def test_cli_diversity(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "g_out = 1.75" in captured
     assert "g_ber = 0.75" in captured
+
+
+# The flags each subcommand reads; argparse rejects every other flag.
+CLI_FLAGS = {
+    "outage": ["--config", "--output", "--seed", "--trials", "--methods", "--quiet"],
+    "ber": ["--config", "--output", "--seed", "--trials", "--methods", "--quiet"],
+    "diversity": ["--config"],
+    "verify": ["--output", "--seed", "--trials", "--quiet"],
+    "foxh-eval": ["--config", "--quiet"],
+}
+
+
+def test_cli_subcommands_take_only_the_flags_they_read():
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: [s for action in sub._actions for s in action.option_strings if s not in ("-h", "--help")]
+        for name, sub in subparsers.choices.items()
+    }
+    assert surface == CLI_FLAGS
+    assert sum(len(flags) for flags in surface.values()) == 19
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diversity", "--config", "s.cfg", "--output", "x.csv"],
+        ["foxh-eval", "--config", "spec.json", "--seed", "1"],
+        ["verify", "--config", "s.cfg"],
+        ["verify", "--methods", "mc"],
+    ],
+    ids=["diversity-output", "foxh-eval-seed", "verify-config", "verify-methods"],
+)
+def test_cli_rejects_flags_a_subcommand_ignores(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_verify_fails_when_a_value_is_missing(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("exact route broken")
+
+    monkeypatch.setattr(cli, "branch_outage", broken)
+    assert main(["verify", "--trials", "20000", "--quiet"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert "# verify_failures: 4\n" in captured.out
+    assert captured.err.count("value missing") == 4
 
 
 def test_cli_missing_config_is_error(tmp_path):

@@ -21,8 +21,6 @@ from rislink.dgg import (
     dgg_sample,
 )
 from rislink.exact_stats import (
-    N_EXACT_MAX,
-    ExactCapExceeded,
     RisEnsemble,
     combined_snr_stat,
     gamma_cdf,
@@ -33,7 +31,7 @@ from rislink.exact_stats import (
     mgf_gamma_ris,
     snr_spec,
 )
-from rislink.foxh import GammaTerm, suggest_anchors
+from rislink.foxh import MAX_DIMS, GammaTerm, suggest_anchors
 from rislink.metrics import ModulationParams, ber_exact, outage_exact
 
 CASCADE, DIRECT = preset_fading("FP1")
@@ -196,13 +194,14 @@ def test_snr_spec_matches_combined_cdf_term_for_term():
 
 
 def test_element_cap_enforced():
-    stat = combined_snr_stat(RisEnsemble.identical(N_EXACT_MAX + 1, CASCADE, DIRECT), BUD)
-    with pytest.raises(ExactCapExceeded):
+    # the combined SNR at N=3 takes four contour variables, one more than MAX_DIMS
+    stat = combined_snr_stat(RisEnsemble.identical(3, CASCADE, DIRECT), BUD)
+    with pytest.raises(ValueError, match=f"MAX_DIMS: at most {MAX_DIMS}"):
         gamma_cdf(stat, 1.0)
-    with pytest.raises(ExactCapExceeded):
+    with pytest.raises(ValueError, match=f"MAX_DIMS: at most {MAX_DIMS}"):
         gamma_pdf(stat, 1.0)
-    with pytest.raises(ExactCapExceeded):
-        mgf_gamma_ris(stat.ensemble, BUD, 1.0)
+    # the reflected branch alone at N=3 takes three: within the cap
+    assert 0.0 < mgf_gamma_ris(stat.ensemble, BUD, 1.0) < 1.0
 
 
 def test_input_validation():
