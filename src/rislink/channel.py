@@ -32,16 +32,12 @@ class LinkGeometry:
 
 @dataclass(frozen=True)
 class LinkBudget:
-    h_l_ris: float  # amplitude gain of the reflected path
-    h_l: float  # amplitude gain of the direct path
     gamma0_ris: float  # linear average SNR scale, reflected branch
     gamma0_d: float  # linear average SNR scale, direct branch
-    pt_dbm: float
-    noise_dbm: float
 
     def __post_init__(self):
-        if min(self.h_l_ris, self.h_l, self.gamma0_ris, self.gamma0_d) <= 0:
-            raise ValueError("gains and SNR scales must be positive")
+        if not (0 < self.gamma0_ris < math.inf and 0 < self.gamma0_d < math.inf):
+            raise ValueError("SNR scales must be positive and finite")
 
 
 def pathloss_cascaded(geom: LinkGeometry) -> float:
@@ -59,14 +55,5 @@ def pathloss_direct(geom: LinkGeometry) -> float:
 
 def budget(geom: LinkGeometry, pt_dbm: float, noise_dbm: float = -74.0) -> LinkBudget:
     """Average SNR scales gamma0 = gain^2 * Pt / noise for both branches."""
-    h_ris = pathloss_cascaded(geom)
-    h_d = pathloss_direct(geom)
     snr = dbm_to_watt(pt_dbm) / dbm_to_watt(noise_dbm)
-    return LinkBudget(
-        h_l_ris=h_ris,
-        h_l=h_d,
-        gamma0_ris=h_ris**2 * snr,
-        gamma0_d=h_d**2 * snr,
-        pt_dbm=pt_dbm,
-        noise_dbm=noise_dbm,
-    )
+    return LinkBudget(gamma0_ris=pathloss_cascaded(geom) ** 2 * snr, gamma0_d=pathloss_direct(geom) ** 2 * snr)

@@ -5,8 +5,9 @@ Subcommands: ``outage`` and ``ber`` run a configured transmit-power sweep,
 evaluator against Monte-Carlo, and ``foxh-eval`` evaluates a contour-
 integral spec from a JSON file for debugging.
 
-Exit codes: 0 success, 1 hard error, 2 success with warnings (e.g. the
-exact method was downgraded to Monte-Carlo above the contour-variable cap).
+Exit codes: 0 success, 1 hard error (a rejected command line included),
+2 success with warnings (e.g. the exact method was downgraded to
+Monte-Carlo above the contour-variable cap).
 """
 from __future__ import annotations
 
@@ -57,20 +58,10 @@ class CurveResult:
     warnings: tuple[str, ...]
 
 
-def _exact_branches(config: ScenarioConfig):
-    """(elements, direct) branch set of the scenario, or None without a contour route."""
-    system = config.system
-    return {
-        "combined": (system.elements, system.direct),
-        "ris_only": (system.elements, None),
-        "dt_only": ((), system.direct),
-    }.get(config.scenario)
-
-
 def _effective_methods(config: ScenarioConfig, warnings: list[str]) -> tuple[str, ...]:
     """The requested methods that can evaluate the scenario; Monte-Carlo stands in for the rest."""
     methods = list(config.methods)
-    branches = _exact_branches(config)
+    branches = config.system.branches(config.scenario)
     unavailable = {}
     if "exact" in methods:
         if branches is None:
@@ -103,7 +94,7 @@ def run_sweep(config: ScenarioConfig, quantity: str = "outage") -> CurveResult:
     want_outage = quantity in ("outage", "both")
     want_ber = quantity in ("ber", "both")
     mod = ModulationParams(config.modulation_a, config.modulation_b)
-    branches = _exact_branches(config)
+    branches = config.system.branches(config.scenario)
 
     columns = ["pt_dbm"]
     if want_outage:
@@ -321,6 +312,9 @@ def _cmd_foxh_eval(args) -> int:
     except KeyError as e:
         print(f"error: spec has no field {e}", file=sys.stderr)
         return EXIT_ERROR
+    except TypeError as e:  # not an object, or a field of the wrong JSON type
+        print(f"error: malformed spec: {e}", file=sys.stderr)
+        return EXIT_ERROR
     except (ValueError, NotConverged) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
@@ -366,7 +360,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 2 after a usage error, 0 after --help
+        return EXIT_ERROR if e.code else EXIT_OK
     try:
         if args.command == "outage":
             return _cmd_sweep(args, "outage")

@@ -11,7 +11,7 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 
-from .channel import LinkGeometry
+from .channel import LinkGeometry, budget
 from .dgg import CascadeParams, DggParams
 from .exact_stats import RisEnsemble
 
@@ -46,9 +46,10 @@ PRESETS = {
     "FP3": (((1.0, 1.5), (1.0, 2.5)), ((2.0, 2.1), (2.0, 2.1))),
 }
 
-# Links a sweep can evaluate: reflected plus direct combined, reflected
-# only, direct only, and the decode-and-forward relay comparator.
-SCENARIOS = ("combined", "ris_only", "dt_only", "df_relay")
+# Links a sweep can evaluate, each with the branches it combines as (reflected, direct):
+# both, reflected only, direct only; the decode-and-forward relay comparator has none.
+_BRANCH_SETS = {"combined": (True, True), "ris_only": (True, False), "dt_only": (False, True), "df_relay": None}
+SCENARIOS = tuple(_BRANCH_SETS)
 
 
 class ParseError(ValueError):
@@ -122,6 +123,14 @@ class SystemConfig:
 
     def ensemble(self) -> RisEnsemble:
         return RisEnsemble(elements=self.elements, direct=self.direct)
+
+    def branches(self, scenario: str) -> tuple[tuple[CascadeParams, ...], DggParams | None] | None:
+        """(elements, direct | None) that the exact and Monte-Carlo routes evaluate; None for the relay."""
+        branch_set = _BRANCH_SETS[scenario]
+        if branch_set is None:
+            return None
+        reflected, direct = branch_set
+        return (self.elements if reflected else (), self.direct if direct else None)
 
 
 def preset_system(name: str, n_elements: int) -> SystemConfig:
@@ -222,9 +231,12 @@ def parse_config_text(text: str) -> ScenarioConfig:
         if value is None:
             return None
         try:
-            return float(value)
+            number = float(value)
         except (TypeError, ValueError):
             raise ParseError("expected a number", lineno, key) from None
+        if not math.isfinite(number):
+            raise ParseError("expected a finite number", lineno, key)
+        return number
 
     def take_int(key: str, default=None):
         value, lineno = take(key, default)
@@ -285,20 +297,21 @@ def parse_config_text(text: str) -> ScenarioConfig:
     pt_value, pt_line = take("pt_dbm")
     pt_start = take_float("pt_start_dbm")
     pt_stop = take_float("pt_stop_dbm")
-    pt_step = take_float("pt_step_db")
+    pt_step = take_float("pt_step_db", 5.0)
     sweep: list[float] = []
     if pt_value:
         try:
             sweep = [float(p) for p in pt_value.replace(",", " ").split()]
         except ValueError:
             raise ParseError("expected numbers", pt_line, "pt_dbm") from None
+        if not all(math.isfinite(p) for p in sweep):
+            raise ParseError("expected finite numbers", pt_line, "pt_dbm")
     elif pt_start is not None and pt_stop is not None:
-        step = pt_step if pt_step else 5.0
-        if step <= 0:
+        if pt_step <= 0:
             problems.append("pt_step_db must be positive")
         else:
-            count = int(math.floor((pt_stop - pt_start) / step + 1e-9)) + 1
-            sweep = [pt_start + k * step for k in range(max(count, 0))]
+            count = int(math.floor((pt_stop - pt_start) / pt_step + 1e-9)) + 1
+            sweep = [pt_start + k * pt_step for k in range(max(count, 0))]
     if not sweep:
         problems.append("empty transmit-power sweep (need pt_dbm or pt_start/stop)")
 
@@ -312,6 +325,12 @@ def parse_config_text(text: str) -> ScenarioConfig:
     if modulation_a <= 0 or modulation_b <= 0:
         problems.append("modulation_a and modulation_b must be positive")
     gamma_th_db = take_float("gamma_th_db", 0.0)
+    try:
+        threshold_ok = 10.0 ** (gamma_th_db / 10.0) > 0.0
+    except OverflowError:
+        threshold_ok = False
+    if not threshold_ok:
+        problems.append(f"gamma_th_db = {gamma_th_db:g} gives no positive finite threshold")
     mc_trials = take_int("mc_trials", 1_000_000)
     mc_seed = take_int("mc_seed", 0)
     problems += setting_problems(methods, mc_trials, mc_seed)
@@ -324,6 +343,12 @@ def parse_config_text(text: str) -> ScenarioConfig:
     except ValueError as e:
         problems.append(str(e))
         geometry = None
+    else:
+        for pt in sweep:
+            try:
+                budget(geometry, pt, noise_dbm)
+            except (ArithmeticError, ValueError):
+                problems.append(f"pt_dbm = {pt:g} gives no positive finite link budget")
 
     if problems:
         raise ValidationError(problems)

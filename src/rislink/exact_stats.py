@@ -53,11 +53,6 @@ class RisEnsemble:
 class CombinedSnrStat:
     ensemble: RisEnsemble
     budget: LinkBudget
-    log_coefficient: float  # log of the overall positive prefactor
-
-    @property
-    def coefficient(self) -> float:
-        return math.exp(self.log_coefficient)
 
 
 def _log_element_coeff(elements) -> float:
@@ -74,12 +69,7 @@ def _log_direct_coeff(direct: DggParams) -> float:
 
 
 def combined_snr_stat(ensemble: RisEnsemble, budget: LinkBudget) -> CombinedSnrStat:
-    log_coeff = (
-        math.log(0.25) + _log_direct_coeff(ensemble.direct) + _log_element_coeff(ensemble.elements)
-    )
-    if not math.isfinite(log_coeff):
-        raise ValueError("non-finite SNR-statistic prefactor")
-    return CombinedSnrStat(ensemble=ensemble, budget=budget, log_coefficient=log_coeff)
+    return CombinedSnrStat(ensemble=ensemble, budget=budget)
 
 
 def _unit(n: int, i: int, scale: float = 1.0) -> tuple[float, ...]:
@@ -197,7 +187,7 @@ def gamma_cdf(stat: CombinedSnrStat, g: float) -> float:
 # ---------------------------------------------------------------------------
 # sum of cascaded amplitudes: the reflected-only SNR at unit scale, z**2
 
-_UNIT_BUDGET = LinkBudget(h_l_ris=1.0, h_l=1.0, gamma0_ris=1.0, gamma0_d=1.0, pt_dbm=0.0, noise_dbm=0.0)
+_UNIT_BUDGET = LinkBudget(gamma0_ris=1.0, gamma0_d=1.0)
 
 
 def hris_pdf(ensemble: RisEnsemble, z: float) -> float:

@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 
 from .channel import LinkBudget
 from .dgg import CascadeParams, DggParams, cascade_coeffs, cascade_shapes, dgg_psi_phi
-from .exact_stats import CombinedSnrStat, RisEnsemble, snr_functional
+from .exact_stats import CombinedSnrStat, RisEnsemble, snr_functional, snr_spec
 from .foxh import QuadratureConfig
 
 __all__ = [
@@ -229,7 +229,8 @@ def outage_asymptotic(stat: CombinedSnrStat, gamma_th: float) -> float:
                 math.gamma(2.0 * sigma_half_ris) * math.gamma(1.0 + sigma_half_ris + half_d)
             )
             total += weight * r_d * cross
-    outage = stat.coefficient * total
+    logc, _ = snr_spec(ens.elements, ens.direct, bud, "cdf", gamma_th)
+    outage = math.exp(logc) * total
     if not 0.0 < outage <= 1.0:
         raise RuntimeError(f"asymptotic outage {outage} outside (0, 1]; power too low for the asymptote")
     return outage

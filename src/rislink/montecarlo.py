@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
@@ -22,7 +22,6 @@ from .config import SCENARIOS, SystemConfig
 from .dgg import cascade_sample, dgg_sample
 
 __all__ = [
-    "SCENARIOS",
     "UNIT_TRIALS",
     "SimPlan",
     "McEstimate",
@@ -32,7 +31,6 @@ __all__ = [
     "tally",
     "estimate_outage",
     "estimate_ber",
-    "baseline_df_relay",
 ]
 
 # Trials per seeding unit. Estimates depend only on (plan, master_seed),
@@ -89,26 +87,29 @@ def _df_hop_budgets(config: SystemConfig, pt_dbm: float) -> tuple[float, float]:
 def simulate_snr(plan: SimPlan, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw n end-to-end SNR realizations for the plan's scenario.
 
-    Scales, squares and sums in the sample buffers; each in-place step is
-    the written-out formula's operation on the same operands, so the
-    values are bit-identical to it.
+    Element amplitudes are drawn first, then the direct one. Each in-place
+    step is the written-out formula's operation on the same operands, so
+    the values are bit-identical to it.
     """
     config = plan.config
-    bud = budget(config.geometry, plan.pt_dbm, config.noise_dbm)
-    if plan.scenario == "dt_only":
-        return _scaled_square(bud.gamma0_d, dgg_sample(config.direct, rng, n))
-    if plan.scenario == "df_relay":
+    branches = config.branches(plan.scenario)
+    if branches is None:  # the decode-and-forward relay
         g1, g2 = _df_hop_budgets(config, plan.pt_dbm)
         hops = config.elements[0]
         snr1 = _scaled_square(g1, dgg_sample(hops.hop1, rng, n))
         snr2 = _scaled_square(g2, dgg_sample(hops.hop2, rng, n))
         return np.minimum(snr1, snr2, out=snr1)
-    h_ris = np.zeros(n)
-    for cascade in config.elements:
-        h_ris += cascade_sample(cascade, rng, n)
-    snr = _scaled_square(bud.gamma0_ris, h_ris)
-    if plan.scenario == "combined":
-        snr += _scaled_square(bud.gamma0_d, dgg_sample(config.direct, rng, n))
+    elements, direct = branches
+    bud = budget(config.geometry, plan.pt_dbm, config.noise_dbm)
+    snr = None
+    if elements:
+        snr = np.zeros(n)
+        for cascade in elements:
+            snr += cascade_sample(cascade, rng, n)
+        _scaled_square(bud.gamma0_ris, snr)
+    if direct is not None:
+        snr_d = _scaled_square(bud.gamma0_d, dgg_sample(direct, rng, n))
+        snr = snr_d if snr is None else np.add(snr, snr_d, out=snr)
     return snr
 
 
@@ -234,9 +235,3 @@ def estimate_outage(plan: SimPlan, gamma_th: float) -> McEstimate:
 def estimate_ber(plan: SimPlan, mod) -> McEstimate:
     """Empirical mean of the conditional error a*Q(sqrt(2*b*snr))."""
     return tally(plan, mod=mod).ber()
-
-
-def baseline_df_relay(plan: SimPlan, gamma_th: float, mod) -> tuple[McEstimate, McEstimate]:
-    """(outage, BER) of the decode-and-forward relay comparator."""
-    df = tally(replace(plan, scenario="df_relay"), gamma_th, mod)
-    return df.outage(), df.ber()

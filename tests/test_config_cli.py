@@ -47,10 +47,12 @@ def test_minimal_config_parses():
 
 
 def test_power_range_expansion():
-    cfg = parse_config_text(
-        "n_elements = 1\nfading_preset = FP2\npt_start_dbm = 0\npt_stop_dbm = 20\npt_step_db = 10\n"
-    )
-    assert cfg.pt_dbm == (0.0, 10.0, 20.0)
+    text = "n_elements = 1\nfading_preset = FP2\npt_start_dbm = 0\npt_stop_dbm = 20\n"
+    assert parse_config_text(text + "pt_step_db = 10\n").pt_dbm == (0.0, 10.0, 20.0)
+    # the 5 dB default applies only when the step is absent
+    assert parse_config_text(text).pt_dbm == (0.0, 5.0, 10.0, 15.0, 20.0)
+    with pytest.raises(ValidationError, match="pt_step_db must be positive"):
+        parse_config_text(text + "pt_step_db = 0\n")
 
 
 def test_custom_fading_blocks_and_overrides():
@@ -396,10 +398,13 @@ def test_cli_subcommands_take_only_the_flags_they_read():
     ids=["diversity-output", "foxh-eval-seed", "verify-config", "verify-methods"],
 )
 def test_cli_rejects_flags_a_subcommand_ignores(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    assert main(argv) == EXIT_ERROR
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_help_is_success(capsys):
+    assert main(["outage", "--help"]) == EXIT_OK
+    assert "--config" in capsys.readouterr().out
 
 
 def test_cli_verify_fails_when_a_value_is_missing(monkeypatch, capsys):
@@ -440,6 +445,29 @@ def test_cli_invalid_setting_is_error(tmp_path, capsys, argv, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("gamma_th_db", "4000"),
+        ("gamma_th_db", "nan"),
+        ("pt_dbm", "5000"),
+        ("pt_dbm", "-5000"),
+        ("pt_dbm", "nan"),
+        ("pt_dbm", "inf"),
+        ("d1_m", "inf"),
+        ("d1_m", "1e200"),
+        ("noise_dbm", "nan"),
+        ("modulation_a", "nan"),
+    ],
+)
+def test_cli_unusable_number_is_error(tmp_path, capsys, key, value):
+    settings = {"n_elements": "1", "fading_preset": "FP1", "pt_dbm": "10 20", "mc_trials": "20000", key: value}
+    cfg = write_cfg(tmp_path, text="".join(f"{k} = {v}\n" for k, v in settings.items()))
+    assert main(["outage", "--config", cfg, "--quiet"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cli_fallback_warning_exit_code(tmp_path):
     cfg = write_cfg(tmp_path, text="n_elements = 6\nfading_preset = FP1\npt_dbm = 20\nmc_trials = 20000\n")
     out = tmp_path / "c.csv"
@@ -473,8 +501,10 @@ def test_cli_foxh_eval(tmp_path, capsys):
             ],
         },
         {"args": [2.5]},
+        [1, 2],
+        {"args": [2.5], "terms": 5},
     ],
-    ids=["empty-contour", "four-variables", "missing-terms"],
+    ids=["empty-contour", "four-variables", "missing-terms", "top-level-list", "terms-not-a-list"],
 )
 def test_cli_foxh_eval_invalid_spec_is_error(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"

@@ -185,12 +185,14 @@ def test_snr_spec_matches_combined_cdf_term_for_term():
         (g / BUD.gamma0_ris) ** (a2 / 2.0) / cascade_coeffs(CASCADE)[1],
         dgg_psi_phi(DIRECT)[1] * (g / BUD.gamma0_d) ** (ad2 / 2.0),
     )
-    stat = make_stat(1)
-    logc, spec = snr_spec(stat.ensemble.elements, DIRECT, BUD, "cdf", g)
+    A, B = cascade_coeffs(CASCADE)
+    psi_d, phi_d = dgg_psi_phi(DIRECT)
+    prefactor = 0.25 * A * B**CASCADE.hop1.beta2 * psi_d / phi_d**DIRECT.beta2
+    logc, spec = snr_spec((CASCADE,), DIRECT, BUD, "cdf", g)
     assert spec.terms == tuple(terms)
     assert spec.args == args
     assert spec.contour_re == suggest_anchors(terms, 2)
-    assert logc == pytest.approx(stat.log_coefficient, rel=1e-14)
+    assert math.exp(logc) == pytest.approx(prefactor, rel=1e-14)
 
 
 def test_element_cap_enforced():
@@ -260,5 +262,5 @@ def test_heterogeneous_n2_outage_frozen():
     h1 = DggParams(2, 1, 2, 2, 1, 1)
     h2 = DggParams(1, 1.5, 1, 2.5, 1, 1)
     ens = RisEnsemble((CascadeParams(h1, h1), CascadeParams(h2, h2)), DggParams(1.5, 1.5, 1, 1.5, 1, 1))
-    stat = combined_snr_stat(ens, LinkBudget(1, 1, gamma0_ris=3, gamma0_d=2, pt_dbm=0, noise_dbm=0))
+    stat = combined_snr_stat(ens, LinkBudget(gamma0_ris=3, gamma0_d=2))
     assert outage_exact(stat, 1.0) == pytest.approx(0.10702147639621941, rel=1e-8)

@@ -1,22 +1,19 @@
 """Monte-Carlo route: determinism and moment checks."""
 import math
 import threading
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rislink.channel import budget
-from rislink.config import preset_system
+from rislink.config import SCENARIOS, preset_system
 from rislink.dgg import cascade_moment, dgg_moment, dgg_sample
 from rislink.metrics import ModulationParams
 from rislink import montecarlo
 from rislink.montecarlo import (
-    SCENARIOS,
     DegenerateEstimate,
     SimPlan,
     _df_hop_budgets,
-    baseline_df_relay,
     estimate_ber,
     estimate_outage,
     simulate_snr,
@@ -89,14 +86,6 @@ def test_df_relay_outage_matches_product_rule():
     p2 = float(np.mean(g2 * dgg_sample(hop.hop2, rng, 400_000) ** 2 <= gamma_th))
     expect = 1.0 - (1.0 - p1) * (1.0 - p2)
     assert joint.mean == pytest.approx(expect, abs=5 * joint.std_error + 0.005)
-
-
-def test_baseline_df_relay_uses_relay_scenario():
-    plan = make_plan(pt=10.0, trials=100_000)
-    out, ber = baseline_df_relay(plan, 1.0, MOD)
-    direct_plan = replace(plan, scenario="df_relay")
-    assert out == estimate_outage(direct_plan, 1.0)
-    assert ber == estimate_ber(direct_plan, MOD)
 
 
 def test_scenarios_ordered_by_strength():
