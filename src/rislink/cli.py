@@ -38,7 +38,6 @@ from .foxh import (
     QuadratureConfig,
     dump_spec,
     eval_foxh,
-    suggest_anchors,
 )
 from .metrics import ModulationParams, branch_ber, branch_outage, diversity, outage_asymptotic
 from .montecarlo import DegenerateEstimate, SimPlan, tally
@@ -302,10 +301,7 @@ def _cmd_foxh_eval(args) -> int:
             )
             for t in payload["terms"]
         )
-        contour = payload.get("contour_re")
-        if contour is None:
-            contour = suggest_anchors(terms, len(payload["args"]))
-        spec = FoxHSpec(args=tuple(payload["args"]), terms=terms, contour_re=tuple(contour))
+        spec = FoxHSpec(args=tuple(payload["args"]), terms=terms, contour_re=payload.get("contour_re"))
         if not args.quiet:
             dump_spec(spec, sys.stderr)
         value, err = eval_foxh(spec)

@@ -50,6 +50,8 @@ PRESETS = {
 # both, reflected only, direct only; the decode-and-forward relay comparator has none.
 _BRANCH_SETS = {"combined": (True, True), "ris_only": (True, False), "dt_only": (False, True), "df_relay": None}
 SCENARIOS = tuple(_BRANCH_SETS)
+# most points a pt_start_dbm/pt_stop_dbm/pt_step_db range may expand to
+_MAX_SWEEP_POINTS = 10_000
 
 
 class ParseError(ValueError):
@@ -280,12 +282,16 @@ def parse_config_text(text: str) -> ScenarioConfig:
         problems.append("no direct-link fading given (need fading_preset or direct_fading)")
 
     elements = list((cascade,) * n_elements) if (cascade and n_elements and n_elements > 0) else []
-    for key, (value, lineno) in sorted(element_keys.items()):
+    slots = set()
+    for key, (value, lineno) in element_keys.items():
         # element<i>_hop<j> = fading block, 1-based indices
         parts = key.split("_")
         if len(parts) != 2 or not parts[0][7:].isdigit() or parts[1] not in ("hop1", "hop2"):
             raise ParseError("expected element<i>_hop1 or element<i>_hop2", lineno, key)
         idx = int(parts[0][7:]) - 1
+        if (idx, parts[1]) in slots:  # element1_hop1 and element01_hop1 name one hop
+            raise ParseError("duplicate key", lineno, key)
+        slots.add((idx, parts[1]))
         if not elements:
             continue
         if not 0 <= idx < len(elements):
@@ -295,6 +301,9 @@ def parse_config_text(text: str) -> ScenarioConfig:
         elements[idx] = replace(elements[idx], **{parts[1]: hop})
 
     pt_value, pt_line = take("pt_dbm")
+    for key in ("pt_start_dbm", "pt_stop_dbm", "pt_step_db"):
+        if pt_value and key in entries:
+            raise ParseError("pt_dbm and a pt_start/stop/step range both given", entries[key][1], key)
     pt_start = take_float("pt_start_dbm")
     pt_stop = take_float("pt_stop_dbm")
     pt_step = take_float("pt_step_db", 5.0)
@@ -310,8 +319,12 @@ def parse_config_text(text: str) -> ScenarioConfig:
         if pt_step <= 0:
             problems.append("pt_step_db must be positive")
         else:
-            count = int(math.floor((pt_stop - pt_start) / pt_step + 1e-9)) + 1
-            sweep = [pt_start + k * pt_step for k in range(max(count, 0))]
+            # the point count is checked before any point is built; it may be inf
+            steps = (pt_stop - pt_start) / pt_step + 1e-9
+            if steps >= _MAX_SWEEP_POINTS:
+                problems.append(f"pt_start_dbm..pt_stop_dbm range has more than {_MAX_SWEEP_POINTS} points")
+            elif steps >= 0:
+                sweep = [pt_start + k * pt_step for k in range(int(steps) + 1)]
     if not sweep:
         problems.append("empty transmit-power sweep (need pt_dbm or pt_start/stop)")
 

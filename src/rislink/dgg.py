@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .foxh import FoxHSpec, GammaTerm, eval_foxh, suggest_anchors
+from .foxh import FoxHSpec, GammaTerm, eval_foxh
 
 __all__ = [
     "DggParams",
@@ -79,7 +79,7 @@ def _dgg_pdf_spec(p: DggParams, x: float) -> tuple[float, FoxHSpec]:
         GammaTerm(p.beta1 - r * p.beta2, (r,)),
     )
     coeff = psi * x ** (p.alpha2 * p.beta2 - 1.0)
-    spec = FoxHSpec(args=(phi * x**p.alpha2,), terms=terms, contour_re=suggest_anchors(terms, 1))
+    spec = FoxHSpec(args=(phi * x**p.alpha2,), terms=terms)
     return coeff, spec
 
 
@@ -148,7 +148,7 @@ def product_pdf(c: CascadeParams, z: float) -> float:
     A, B = cascade_coeffs(c)
     a2 = c.hop1.alpha2
     terms = tuple(GammaTerm(beta, (a2 / alpha,)) for alpha, beta in cascade_shapes(c))
-    spec = FoxHSpec(args=(z**a2 / B,), terms=terms, contour_re=suggest_anchors(terms, 1))
+    spec = FoxHSpec(args=(z**a2 / B,), terms=terms)
     value, _ = eval_foxh(spec)
     return A * B ** c.hop1.beta2 / z * value
 
@@ -167,7 +167,7 @@ def product_mgf(c: CascadeParams, s: float) -> float:
         else:
             terms.append(GammaTerm(beta - r * b2, (r,)))
     terms = tuple(terms)
-    spec = FoxHSpec(args=(s**-a2 / B,), terms=terms, contour_re=suggest_anchors(terms, 1))
+    spec = FoxHSpec(args=(s**-a2 / B,), terms=terms)
     value, _ = eval_foxh(spec)
     return A * s ** (-a2 * b2) * value
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .channel import LinkBudget
 from .dgg import CascadeParams, DggParams, cascade_coeffs, cascade_shapes, dgg_psi_phi
-from .foxh import FoxHSpec, GammaTerm, QuadratureConfig, eval_foxh, suggest_anchors
+from .foxh import FoxHSpec, GammaTerm, QuadratureConfig, eval_foxh
 
 __all__ = [
     "RisEnsemble",
@@ -89,11 +89,6 @@ def _element_terms(elements, nvars: int) -> list[GammaTerm]:
     return terms
 
 
-def _build(args, terms) -> FoxHSpec:
-    terms = tuple(terms)
-    return FoxHSpec(args=tuple(args), terms=terms, contour_re=suggest_anchors(terms, len(args)))
-
-
 # ---------------------------------------------------------------------------
 # SNR of any branch set: reflected, direct, or both combined
 
@@ -156,7 +151,7 @@ def snr_spec(
         logc -= math.log(x)
     elif functional == "ber":
         logc -= 0.5 * math.log(4.0 * math.pi)
-    return logc, _build(args, terms)
+    return logc, FoxHSpec(args=tuple(args), terms=tuple(terms))
 
 
 def snr_functional(

@@ -98,21 +98,25 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class FoxHSpec:
+    """One contour integral at positive real arguments; ``contour_re=None``
+    places the anchors by ``suggest_anchors``, and all anchors are checked."""
+
     args: tuple[complex, ...]
     terms: tuple[GammaTerm, ...]
-    contour_re: tuple[float, ...]
+    contour_re: tuple[float, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(complex(a) for a in self.args))
         object.__setattr__(self, "terms", tuple(self.terms))
-        object.__setattr__(self, "contour_re", tuple(float(c) for c in self.contour_re))
-        if len(self.args) != len(self.contour_re) or not self.args:
-            raise ValueError("args and contour_re must have equal nonzero length")
         for term in self.terms:
             if len(term.coeffs) != self.num_vars:
                 raise ValueError("GammaTerm coefficient count must match num_vars")
-        if any(not np.isfinite(a) or a == 0 for a in self.args):
-            raise ValueError("arguments must be finite and nonzero")
+        if any(not (np.isfinite(a) and a.imag == 0 and a.real > 0) for a in self.args):
+            raise ValueError("arguments must be finite positive real numbers")
+        anchors = suggest_anchors(self.terms, self.num_vars) if self.contour_re is None else self.contour_re
+        object.__setattr__(self, "contour_re", tuple(float(c) for c in anchors))
+        if len(self.args) != len(self.contour_re) or not self.args:
+            raise ValueError("args and contour_re must have equal nonzero length")
         intervals = validate_contour(self)
         for i, (lo, hi) in enumerate(intervals):
             if not (lo < self.contour_re[i] < hi):
@@ -123,18 +127,16 @@ class FoxHSpec:
         return len(self.args)
 
 
-def validate_contour(spec: FoxHSpec) -> list[tuple[float, float]]:
+def _feasible_intervals(terms, anchors: np.ndarray, cross: bool) -> list[tuple[float, float]]:
     """Feasible real-anchor interval per variable.
 
     A numerator Gamma factor must keep the real part of its argument
-    positive along the contour (its poles all stay on one side). For a
-    factor coupling several variables, the other anchors are held at the
-    spec's values.
+    positive along the contour (its poles all stay on one side). A factor
+    coupling several variables is skipped unless ``cross``, and otherwise
+    bounds each of them with the other anchors held at ``anchors``.
     """
-    n = spec.num_vars
-    intervals = [[-math.inf, math.inf] for _ in range(n)]
-    anchors = np.asarray(spec.contour_re)
-    for term in spec.terms:
+    intervals = [[-math.inf, math.inf] for _ in anchors]
+    for term in terms:
         if term.sign != 1:
             continue
         eff = term.effective_coeffs()
@@ -142,6 +144,8 @@ def validate_contour(spec: FoxHSpec) -> list[tuple[float, float]]:
         if len(active) == 0:
             if term.offset <= 0:
                 raise NoValidContour(0, f"constant numerator term with offset {term.offset} <= 0")
+            continue
+        if len(active) > 1 and not cross:
             continue
         for i in active:
             rest = float(term.offset + eff @ anchors - eff[i] * anchors[i])
@@ -157,6 +161,11 @@ def validate_contour(spec: FoxHSpec) -> list[tuple[float, float]]:
     return out
 
 
+def validate_contour(spec: FoxHSpec) -> list[tuple[float, float]]:
+    """Feasible interval per variable under every numerator factor, other anchors at the spec's."""
+    return _feasible_intervals(spec.terms, np.asarray(spec.contour_re), cross=True)
+
+
 def suggest_anchors(terms, num_vars: int) -> tuple[float, ...]:
     """Midpoints of the per-variable feasible intervals.
 
@@ -164,23 +173,8 @@ def suggest_anchors(terms, num_vars: int) -> tuple[float, ...]:
     every spec family built in this package (cross factors never bind).
     Unbounded sides are clipped one unit from the finite side.
     """
-    intervals = [[-math.inf, math.inf] for _ in range(num_vars)]
-    for term in terms:
-        if term.sign != 1:
-            continue
-        eff = term.effective_coeffs()
-        active = np.nonzero(eff)[0]
-        if len(active) != 1:
-            continue
-        i = active[0]
-        if eff[i] > 0:
-            intervals[i][0] = max(intervals[i][0], -term.offset / eff[i])
-        else:
-            intervals[i][1] = min(intervals[i][1], term.offset / -eff[i])
     anchors = []
-    for i, (lo, hi) in enumerate(intervals):
-        if lo >= hi:
-            raise NoValidContour(i, f"empty interval ({lo}, {hi})")
+    for lo, hi in _feasible_intervals(terms, np.zeros(num_vars), cross=False):
         if math.isinf(lo) and math.isinf(hi):
             anchors.append(0.0)
         elif math.isinf(hi):

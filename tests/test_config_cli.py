@@ -53,6 +53,31 @@ def test_power_range_expansion():
     assert parse_config_text(text).pt_dbm == (0.0, 5.0, 10.0, 15.0, 20.0)
     with pytest.raises(ValidationError, match="pt_step_db must be positive"):
         parse_config_text(text + "pt_step_db = 0\n")
+    # the point count is checked before any point is built: an infinite
+    # count, a 1e12-point range and one point over the cap are all errors
+    start = "n_elements = 1\nfading_preset = FP2\npt_start_dbm = 0\n"
+    for stop, step in (("1e300", "1e-300"), ("1e9", "1e-3"), ("2500", "0.25")):
+        with pytest.raises(ValidationError, match="more than 10000 points"):
+            parse_config_text(start + f"pt_stop_dbm = {stop}\npt_step_db = {step}\n")
+    assert len(parse_config_text(start + "pt_stop_dbm = 2499.75\npt_step_db = 0.25\n").pt_dbm) == 10_000
+    # a backwards range whose step count is -inf is empty, not a traceback
+    with pytest.raises(ValidationError, match="empty transmit-power sweep"):
+        parse_config_text("n_elements = 1\nfading_preset = FP2\npt_start_dbm = 1e300\npt_stop_dbm = 0\npt_step_db = 1e-300\n")
+
+
+@pytest.mark.parametrize(
+    "extra,line,key",
+    [
+        ("pt_start_dbm = 0\npt_stop_dbm = 50\npt_step_db = 7\n", 4, "pt_start_dbm"),
+        ("pt_step_db = 7\n", 4, "pt_step_db"),
+        ("element1_hop1 = 1 1 1 1\nelement01_hop1 = 2 2 2 2\n", 5, "element01_hop1"),
+    ],
+    ids=["pt-list-and-range", "pt-list-and-step", "one-hop-two-keys"],
+)
+def test_two_keys_for_one_setting_rejected(extra, line, key):
+    with pytest.raises(ParseError) as exc:
+        parse_config_text("n_elements = 1\nfading_preset = FP1\npt_dbm = 10\n" + extra)
+    assert (exc.value.line, exc.value.key) == (line, key)
 
 
 def test_custom_fading_blocks_and_overrides():
@@ -503,8 +528,19 @@ def test_cli_foxh_eval(tmp_path, capsys):
         {"args": [2.5]},
         [1, 2],
         {"args": [2.5], "terms": 5},
+        # exp(-z) off the positive real axis: the evaluator returns only a real part
+        {"args": ["1+1j"], "terms": [{"offset": 0.0, "coeffs": [1.0]}]},
+        {"args": [-2.5], "terms": [{"offset": 0.0, "coeffs": [1.0]}]},
     ],
-    ids=["empty-contour", "four-variables", "missing-terms", "top-level-list", "terms-not-a-list"],
+    ids=[
+        "empty-contour",
+        "four-variables",
+        "missing-terms",
+        "top-level-list",
+        "terms-not-a-list",
+        "complex-arg",
+        "negative-arg",
+    ],
 )
 def test_cli_foxh_eval_invalid_spec_is_error(tmp_path, capsys, spec):
     path = tmp_path / "spec.json"

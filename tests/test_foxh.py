@@ -124,6 +124,32 @@ def test_denominator_terms_do_not_constrain():
     assert lo == 0.0 and math.isinf(hi)
 
 
+def test_spec_places_default_anchors():
+    # Gamma(t1)Gamma(t2)Gamma(a - t1 - t2)/Gamma(a): anchors left to the spec
+    # are suggest_anchors', and evaluate exactly as the same anchors given
+    def binomial2(a):
+        return (
+            GammaTerm(0.0, (1.0, 0.0)),
+            GammaTerm(0.0, (0.0, 1.0)),
+            GammaTerm(a, (1.0, 1.0), orientation=-1),
+            GammaTerm(a, (0.0, 0.0), sign=-1),
+        )
+
+    terms = binomial2(2.3)
+    spec = FoxHSpec(args=(0.8, 1.5), terms=terms)
+    assert spec.contour_re == suggest_anchors(terms, 2) == (1.0, 1.0)
+    assert eval_foxh(spec) == eval_foxh(FoxHSpec(args=(0.8, 1.5), terms=terms, contour_re=(1.0, 1.0)))
+    # suggestion skips cross factors; the spec's check still catches one that binds
+    with pytest.raises(NoValidContour):
+        FoxHSpec(args=(0.8, 1.5), terms=binomial2(1.5))
+
+
+@pytest.mark.parametrize("z", [1 + 1j, -2.5, 0.0, math.nan], ids=["complex", "negative", "zero", "nan"])
+def test_non_positive_real_argument_rejected(z):
+    with pytest.raises(ValueError, match="positive real"):
+        FoxHSpec(args=(z,), terms=(GammaTerm(0.0, (1.0,)),), contour_re=(1.0,))
+
+
 def test_term_count_mismatch_rejected():
     with pytest.raises(ValueError):
         FoxHSpec(args=(1.0, 2.0), terms=(GammaTerm(0.0, (1.0,)),), contour_re=(1.0, 1.0))

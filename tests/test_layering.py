@@ -1,4 +1,4 @@
-"""Module boundaries: no private imports across modules, one scenario-to-branch map."""
+"""Module boundaries: no private imports across modules, one scenario-to-branch map, one anchor rule."""
 import ast
 import pathlib
 
@@ -33,5 +33,23 @@ def test_branch_scenarios_named_only_in_config():
         if path.name != "config.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Constant) and node.value in names
+    ]
+    assert not found, "\n".join(found)
+
+
+def test_contour_anchors_chosen_only_in_foxh():
+    # FoxHSpec places and checks its own anchors; a caller choosing them would fork the rule.
+    # Forwarding a JSON spec's own optional contour_re field (foxh-eval) chooses nothing.
+    def hits(node):
+        if isinstance(node, ast.keyword):
+            return node.arg == "contour_re" and ast.unparse(node.value) != "payload.get('contour_re')"
+        return "suggest_anchors" in (getattr(node, field, None) for field in ("id", "attr", "name"))
+
+    found = [
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "foxh.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if hits(node)
     ]
     assert not found, "\n".join(found)
