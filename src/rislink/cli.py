@@ -288,10 +288,24 @@ def _cmd_verify(args) -> int:
     return EXIT_WARNINGS if result.warnings else EXIT_OK
 
 
+def _check_spec_numbers(payload) -> None:
+    """Refuse spec entries that are not JSON numbers: FoxHSpec would parse strings as numbers."""
+    fields = [("args", payload["args"]), ("contour_re", payload.get("contour_re") or [])]
+    for t in payload["terms"]:
+        fields += [("offset", [t["offset"]]), ("coeffs", t["coeffs"])]
+    for name, values in fields:
+        if not isinstance(values, list):
+            raise TypeError(f"'{name}' is not a list")
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise TypeError(f"'{name}' entry {v!r} is not a number")
+
+
 def _cmd_foxh_eval(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     try:
+        _check_spec_numbers(payload)
         terms = tuple(
             GammaTerm(
                 offset=t["offset"],

@@ -313,20 +313,23 @@ def parse_config_text(text: str) -> ScenarioConfig:
             sweep = [float(p) for p in pt_value.replace(",", " ").split()]
         except ValueError:
             raise ParseError("expected numbers", pt_line, "pt_dbm") from None
+        if not sweep:
+            raise ParseError("expected numbers", pt_line, "pt_dbm")
         if not all(math.isfinite(p) for p in sweep):
             raise ParseError("expected finite numbers", pt_line, "pt_dbm")
-    elif pt_start is not None and pt_stop is not None:
-        if pt_step <= 0:
-            problems.append("pt_step_db must be positive")
-        else:
-            # the point count is checked before any point is built; it may be inf
-            steps = (pt_stop - pt_start) / pt_step + 1e-9
-            if steps >= _MAX_SWEEP_POINTS:
-                problems.append(f"pt_start_dbm..pt_stop_dbm range has more than {_MAX_SWEEP_POINTS} points")
-            elif steps >= 0:
-                sweep = [pt_start + k * pt_step for k in range(int(steps) + 1)]
-    if not sweep:
+    elif pt_start is None or pt_stop is None:
         problems.append("empty transmit-power sweep (need pt_dbm or pt_start/stop)")
+    elif pt_step <= 0:
+        problems.append("pt_step_db must be positive")
+    else:
+        # the point count is checked before any point is built; it may be inf
+        steps = (pt_stop - pt_start) / pt_step + 1e-9
+        if steps >= _MAX_SWEEP_POINTS:
+            problems.append(f"pt_start_dbm..pt_stop_dbm range has more than {_MAX_SWEEP_POINTS} points")
+        elif steps >= 0:
+            sweep = [pt_start + k * pt_step for k in range(int(steps) + 1)]
+        else:
+            problems.append("empty transmit-power sweep (pt_stop_dbm is below pt_start_dbm)")
 
     methods = parse_methods(*take("methods", "exact,mc"))
     scenario, scenario_line = take("scenario", "combined")

@@ -13,8 +13,10 @@ Gamma factors whose argument involves a single contour variable are
 evaluated once per 1-D axis. Variables whose coefficients agree in every
 cross-variable factor form a class: on the shared-step grid those factors
 see only the sum of the class's grid indices, so the class's axis weights
-are convolved onto one lattice, and each cross factor is evaluated once
-per point of the lattice of the classes it involves.
+are convolved onto one lattice. Every class lattice shares the step, so
+a cross factor whose class coefficients are g * p_c for small integers
+p_c sees only d = sum_c p_c * m_c of the class indices m_c, and is
+evaluated once per distinct argument, not once per lattice point.
 """
 from __future__ import annotations
 
@@ -281,22 +283,76 @@ def _class_weights(members, axis_logs, axes_y, T):
     return level, (signed, inner, absolute)
 
 
+def _step_vector(col, sizes) -> tuple[int, ...]:
+    """Integer key coefficients p for a factor with class coefficients ``col``.
+
+    On a shared-step grid the factor depends on the class indices m_c
+    only through d = sum_c p_c * m_c when col = g * p for a common g. If
+    the coefficients have no common step that gives fewer distinct d than
+    lattice points, p holds the strides of the flat lattice index, so
+    every point is its own key. Classes the factor skips get p_c = 0.
+    """
+    active = [c for c, e in enumerate(col) if e]
+    points = math.prod(sizes[c] for c in active)
+    spread = sum(sizes[c] - 1 for c in active)
+    base = min((col[c] for c in active), key=abs, default=1.0)
+    # every active |p_c| >= q, so a denominator q gives at least q*spread + 1 keys
+    for q in range(1, (points - 2) // max(spread, 1) + 1):
+        step = [round(q * e / base) for e in col]
+        # the common step base/q must give back every coefficient up to rounding
+        exact = all(math.isclose(p_c, q * e / base, rel_tol=1e-13) for p_c, e in zip(step, col))
+        if exact and sum(abs(p_c) * (k - 1) for p_c, k in zip(step, sizes)) + 1 < points:
+            return tuple(step)
+    return tuple(math.prod(sizes[c] for c in active if c > a) if a in active else 0 for a in range(len(col)))
+
+
+def _key_table(p, sizes):
+    """Key table of step vector p on the lattice of class sizes ``sizes``.
+
+    Returns the keys sum_c p_c * m_c, shifted to start at 0 and shaped
+    like the lattice of the classes with p_c != 0, and per class the
+    indices m_c of one lattice point for each key.
+    """
+    key = np.zeros((1,) * len(sizes), dtype=np.intp)
+    for c, (p_c, k) in enumerate(zip(p, sizes)):
+        if p_c:
+            shape = [1] * len(sizes)
+            shape[c] = k
+            m = p_c * np.arange(k)
+            key = key + (m - m.min()).reshape(shape)
+    point = np.empty(sum(abs(p_c) * (k - 1) for p_c, k in zip(p, sizes)) + 1, dtype=np.intp)
+    point[key.ravel()] = np.arange(key.size)
+    return key, np.unravel_index(point, key.shape)
+
+
 def _cross_log(terms, classes, anchors, coords):
     """Sum of the factors' sign * log Gamma on the outer grid of the class lattices.
 
-    coords[c] holds the y-sums of class c; a factor is evaluated only along
-    the classes it involves and broadcasts along the others.
+    coords[c] holds the y-sums of class c, all on one step. Each factor is
+    evaluated once per distinct argument: one lattice point per key of its
+    step vector (see ``_step_vector``) gives a 1-D line of arguments, log
+    Gamma runs on the line, and the key table gathers the result onto the
+    lattice of the classes the factor involves (broadcast along the
+    others). Key tables are built once per step vector and shared by the
+    factors that use it. A single-class factor's key is its class index,
+    so its line is the class lattice itself.
     """
+    col_of = [members[0] for members in classes]
+    sizes = [c.size for c in coords]
+    tables = {}
     acc = 0.0
     for term in terms:
         eff = term.effective_coeffs()
-        imag = 0.0
-        for c, members in enumerate(classes):
-            if eff[members[0]]:
-                shape = [1] * len(classes)
-                shape[c] = -1
-                imag = imag + eff[members[0]] * coords[c].reshape(shape)
-        acc = acc + term.sign * log_gamma(term.offset + eff @ anchors + 1j * imag)
+        p = _step_vector(eff[col_of], sizes)
+        if p not in tables:
+            tables[p] = _key_table(p, sizes)
+        key, point = tables[p]
+        imag = np.zeros(point[0].size)
+        for c, p_c in enumerate(p):
+            if p_c:
+                imag += eff[col_of[c]] * coords[c][point[c]]
+        line = term.sign * log_gamma(term.offset + eff @ anchors + 1j * imag)
+        acc = acc + line[key]
     return acc
 
 
@@ -314,9 +370,10 @@ def _tensor_pass(spec: FoxHSpec, cross, classes, axis_logs, axes_y, h, T):
     coefficients, and every axis shares the step h, so each cross factor
     depends on a class's members only through the integer sum of their
     grid indices. The per-axis weights are convolved within each class,
-    each cross factor is evaluated once on the lattice of the classes it
-    involves, and the table is contracted against the class weights. With
-    singleton classes this is the plain tensor sum.
+    each cross factor is evaluated once per distinct argument on the
+    lattice of the classes it involves (``_cross_log``), and the table is
+    contracted against the class weights. With singleton classes this is
+    the plain tensor sum.
 
     Returns raw sums of exp(log integrand - ref) over the full grid, the
     outer band (any |y_i| > T_i - 1, kept *signed* so the oscillatory
@@ -451,8 +508,9 @@ def dump_spec(spec: FoxHSpec, fh) -> None:
     """Write a human-readable description of a spec for diagnosis."""
     intervals = validate_contour(spec)
     fh.write(f"variables: {spec.num_vars}\n")
-    for i, (z, c, iv) in enumerate(zip(spec.args, spec.contour_re, intervals)):
-        fh.write(f"var {i}: arg={z!r} anchor={c:.6g} feasible=({iv[0]:.6g}, {iv[1]:.6g})\n")
+    for i, (z, c, (lo, hi)) in enumerate(zip(spec.args, spec.contour_re, intervals)):
+        # + 0.0 prints a -0.0 bound as 0
+        fh.write(f"var {i}: arg={z!r} anchor={c:.6g} feasible=({lo + 0.0:.6g}, {hi + 0.0:.6g})\n")
     for k, term in enumerate(spec.terms):
         side = "num" if term.sign == 1 else "den"
         sgn = "+" if term.orientation == 1 else "-"

@@ -51,18 +51,29 @@ def test_power_range_expansion():
     assert parse_config_text(text + "pt_step_db = 10\n").pt_dbm == (0.0, 10.0, 20.0)
     # the 5 dB default applies only when the step is absent
     assert parse_config_text(text).pt_dbm == (0.0, 5.0, 10.0, 15.0, 20.0)
-    with pytest.raises(ValidationError, match="pt_step_db must be positive"):
+    with pytest.raises(ValidationError, match="pt_step_db must be positive") as exc:
         parse_config_text(text + "pt_step_db = 0\n")
+    # a range that was given and rejected reports its own problem only
+    assert exc.value.problems == ["pt_step_db must be positive"]
     # the point count is checked before any point is built: an infinite
     # count, a 1e12-point range and one point over the cap are all errors
     start = "n_elements = 1\nfading_preset = FP2\npt_start_dbm = 0\n"
     for stop, step in (("1e300", "1e-300"), ("1e9", "1e-3"), ("2500", "0.25")):
-        with pytest.raises(ValidationError, match="more than 10000 points"):
+        with pytest.raises(ValidationError, match="more than 10000 points") as exc:
             parse_config_text(start + f"pt_stop_dbm = {stop}\npt_step_db = {step}\n")
+        assert len(exc.value.problems) == 1
     assert len(parse_config_text(start + "pt_stop_dbm = 2499.75\npt_step_db = 0.25\n").pt_dbm) == 10_000
     # a backwards range whose step count is -inf is empty, not a traceback
-    with pytest.raises(ValidationError, match="empty transmit-power sweep"):
+    with pytest.raises(ValidationError, match="empty transmit-power sweep") as exc:
         parse_config_text("n_elements = 1\nfading_preset = FP2\npt_start_dbm = 1e300\npt_stop_dbm = 0\npt_step_db = 1e-300\n")
+    assert exc.value.problems == ["empty transmit-power sweep (pt_stop_dbm is below pt_start_dbm)"]
+    # only a sweep with neither a list nor both range ends asks for one
+    for keys in ("", "pt_start_dbm = 0\n", "pt_stop_dbm = 20\npt_step_db = 5\n"):
+        with pytest.raises(ValidationError) as exc:
+            parse_config_text("n_elements = 1\nfading_preset = FP2\n" + keys)
+        assert exc.value.problems == ["empty transmit-power sweep (need pt_dbm or pt_start/stop)"]
+    with pytest.raises(ParseError, match="expected numbers"):
+        parse_config_text("n_elements = 1\nfading_preset = FP2\npt_dbm = ,\n")
 
 
 @pytest.mark.parametrize(
@@ -528,9 +539,14 @@ def test_cli_foxh_eval(tmp_path, capsys):
         {"args": [2.5]},
         [1, 2],
         {"args": [2.5], "terms": 5},
-        # exp(-z) off the positive real axis: the evaluator returns only a real part
+        # exp(-z) off the positive real axis; JSON has no complex numbers, and a string is not a number
         {"args": ["1+1j"], "terms": [{"offset": 0.0, "coeffs": [1.0]}]},
         {"args": [-2.5], "terms": [{"offset": 0.0, "coeffs": [1.0]}]},
+        # numbers written as JSON strings (or booleans) are not numbers
+        {"args": ["2.5"], "terms": [{"offset": 0.0, "coeffs": [1.0]}], "contour_re": ["1"]},
+        {"args": [2.5], "terms": [{"offset": 0.0, "coeffs": [1.0]}], "contour_re": ["1"]},
+        {"args": [2.5], "terms": [{"offset": "0", "coeffs": [1.0]}]},
+        {"args": [2.5], "terms": [{"offset": 0.0, "coeffs": [True]}]},
     ],
     ids=[
         "empty-contour",
@@ -540,15 +556,21 @@ def test_cli_foxh_eval(tmp_path, capsys):
         "terms-not-a-list",
         "complex-arg",
         "negative-arg",
+        "string-arg",
+        "string-anchor",
+        "string-offset",
+        "bool-coeff",
     ],
 )
-def test_cli_foxh_eval_invalid_spec_is_error(tmp_path, capsys, spec):
+def test_cli_foxh_eval_invalid_spec_is_error(request, tmp_path, capsys, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert main(["foxh-eval", "--config", str(path), "--quiet"]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "value =" not in captured.out
+    if request.node.callspec.id.startswith(("string-", "bool-")):
+        assert captured.err.startswith("error: malformed spec: ")
 
 
 def test_cli_verify_deterministic_subprocess(tmp_path):

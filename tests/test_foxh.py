@@ -200,27 +200,17 @@ def test_cross_term_three_variable_multinomial():
     assert value == pytest.approx((1.0 + 0.8 + 1.5 + 0.3) ** -a, rel=1e-7)
 
 
-@pytest.mark.parametrize("shift", [0.0, 0.5])
-def test_class_pass_matches_point_by_point_sum(monkeypatch, shift):
+def _assert_pass_matches_point_by_point_sum(monkeypatch, spec, T, h, shift):
     # Reference: the integrand evaluated at every point of a small tensor
-    # grid. The N=2 CDF spec puts both reflectors in one class; tiny
-    # chunks exercise the rescaling between chunks.
-    from rislink.channel import budget
-    from rislink.config import default_geometry, preset_fading
-    from rislink.exact_stats import snr_spec
-
-    cascade, direct = preset_fading("FP1")
-    _, spec = snr_spec((cascade, cascade), direct, budget(default_geometry(), 20.0), "cdf", 1.0)
+    # grid; tiny chunks exercise the rescaling between chunks.
     per_var, cross, classes = foxh._split_terms(spec)
-    assert classes == [[0, 1], [2]]
-    T, h = np.array([4.0, 3.0, 5.0]), 0.25
     axes = foxh._make_axes(T, h, shift)
     monkeypatch.setattr(foxh, "_CHUNK_ROWS", 100)
     total, band, absmass, ref = foxh._tensor_pass(
         spec, cross, classes, foxh._axis_logs(spec, per_var, axes), axes, h, T
     )
 
-    y = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    y = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, spec.num_vars)
     v = np.exp(foxh._log_at(spec, y) - ref)
     outer = (np.abs(y) > T - 1.0).any(axis=1)
     assert absmass == pytest.approx(np.abs(v).sum(), rel=1e-12)
@@ -228,14 +218,94 @@ def test_class_pass_matches_point_by_point_sum(monkeypatch, shift):
     assert abs(band - v[outer].sum()) <= 1e-12 * absmass
 
 
-def test_identical_n2_outage_evaluates_few_log_gammas(monkeypatch):
-    # Cross factors are evaluated once per point of the class lattice: the
-    # point-by-point tensor sum took more than 29M log_gamma elements here.
+def _combined_cdf_spec(preset, n):
     from rislink.channel import budget
     from rislink.config import default_geometry, preset_fading
-    from rislink.exact_stats import RisEnsemble, combined_snr_stat
-    from rislink.metrics import outage_exact
+    from rislink.exact_stats import snr_spec
 
+    cascade, direct = preset_fading(preset)
+    return snr_spec((cascade,) * n, direct, budget(default_geometry(), 20.0), "cdf", 1.0)[1]
+
+
+def _heterogeneous_n2_stat():
+    # the ensemble of test_heterogeneous_n2_outage_frozen: distinct alpha2,
+    # so every contour variable is its own class
+    from rislink.channel import LinkBudget
+    from rislink.dgg import CascadeParams, DggParams
+    from rislink.exact_stats import RisEnsemble, combined_snr_stat
+
+    h1 = DggParams(2, 1, 2, 2, 1, 1)
+    h2 = DggParams(1, 1.5, 1, 2.5, 1, 1)
+    ens = RisEnsemble((CascadeParams(h1, h1), CascadeParams(h2, h2)), DggParams(1.5, 1.5, 1, 1.5, 1, 1))
+    return combined_snr_stat(ens, LinkBudget(gamma0_ris=3, gamma0_d=2))
+
+
+def _heterogeneous_n2_cdf_spec():
+    from rislink.exact_stats import snr_spec
+
+    stat = _heterogeneous_n2_stat()
+    return snr_spec(stat.ensemble.elements, stat.ensemble.direct, stat.budget, "cdf", 1.0)[1]
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+def test_class_pass_matches_point_by_point_sum(monkeypatch, shift):
+    # the N=2 CDF spec puts both reflectors in one class
+    spec = _combined_cdf_spec("FP1", 2)
+    assert foxh._split_terms(spec)[2] == [[0, 1], [2]]
+    _assert_pass_matches_point_by_point_sum(monkeypatch, spec, np.array([4.0, 3.0, 5.0]), 0.25, shift)
+
+
+def _irrational_two_class_spec():
+    # Gamma(t1) Gamma(t2) Gamma(a - t1 - sqrt(2) t2): the cross coefficients
+    # have no common step, so the cross factor is keyed by the flat index
+    terms = (
+        GammaTerm(0.0, (1.0, 0.0)),
+        GammaTerm(0.0, (0.0, 1.0)),
+        GammaTerm(2.3, (1.0, math.sqrt(2.0)), orientation=-1),
+    )
+    return FoxHSpec(args=(0.8, 1.5), terms=terms, contour_re=(0.5, 0.5))
+
+
+def _mixed_sign_two_class_spec():
+    # Gamma(t1) Gamma(t2) Gamma(a - t1 + t2/2): keys -2*m1 + m2, shifted to start at 0
+    terms = (
+        GammaTerm(0.0, (1.0, 0.0)),
+        GammaTerm(0.0, (0.0, 1.0)),
+        GammaTerm(2.3, (1.0, -0.5), orientation=-1),
+    )
+    return FoxHSpec(args=(0.8, 1.5), terms=terms, contour_re=(0.5, 0.5))
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+@pytest.mark.parametrize(
+    "build,T,step",
+    [
+        (lambda: _combined_cdf_spec("FP1", 1), [4.0, 5.0], (2, 1)),
+        (lambda: _combined_cdf_spec("FP2", 1), [4.0, 5.0], (1, 2)),
+        (_heterogeneous_n2_cdf_spec, [4.0, 3.0, 5.0], (2, 1, 1)),
+        (_irrational_two_class_spec, [4.0, 5.0], None),
+        (_mixed_sign_two_class_spec, [4.0, 5.0], (-2, 1)),
+    ],
+    ids=["fp1-n1", "fp2-n1", "heterogeneous-n2", "irrational-flat-key", "mixed-sign"],
+)
+def test_cross_keys_match_point_by_point_sum(monkeypatch, build, T, step, shift):
+    # Each cross factor spanning several classes is evaluated once per
+    # distinct key and gathered onto the lattice; every key kind must give
+    # the point-by-point sum: steps 1 : 1/2 and 1/2 : 1 over two classes,
+    # three classes, the flat index (None) of coefficients 1 : sqrt(2), and
+    # coefficients of opposite sign.
+    spec = build()
+    per_var, cross, classes = foxh._split_terms(spec)
+    assert len(classes) == len(T)
+    col = cross[-1].effective_coeffs()[[members[0] for members in classes]]
+    sizes = [20, 30, 40][: len(classes)]
+    flat = tuple(math.prod(sizes[c + 1:]) for c in range(len(sizes)))
+    assert foxh._step_vector(col, sizes) == (step or flat)
+    _assert_pass_matches_point_by_point_sum(monkeypatch, spec, np.array(T), 0.25, shift)
+
+
+def _count_log_gamma(monkeypatch) -> list:
+    """Patch foxh's log_gamma to append each call's element count to the returned list."""
     counted = []
     real_log_gamma = foxh.log_gamma
 
@@ -244,10 +314,33 @@ def test_identical_n2_outage_evaluates_few_log_gammas(monkeypatch):
         return real_log_gamma(z)
 
     monkeypatch.setattr(foxh, "log_gamma", counting)
+    return counted
+
+
+def test_identical_n2_outage_evaluates_few_log_gammas(monkeypatch):
+    # A cross factor over several classes sees only an integer combination
+    # of their grid indices, so it takes about sum_c |p_c| K_c arguments:
+    # 162k elements once per lattice point, 29M point by point.
+    from rislink.channel import budget
+    from rislink.config import default_geometry, preset_fading
+    from rislink.exact_stats import RisEnsemble, combined_snr_stat
+    from rislink.metrics import outage_exact
+
     cascade, direct = preset_fading("FP1")
     stat = combined_snr_stat(RisEnsemble.identical(2, cascade, direct), budget(default_geometry(), 20.0))
+    counted = _count_log_gamma(monkeypatch)
     assert 0.0 < outage_exact(stat, 1.0) < 1.0
-    assert sum(counted) < 2e6
+    assert sum(counted) < 40_000
+
+
+def test_heterogeneous_n2_outage_evaluates_few_log_gammas(monkeypatch):
+    # three classes: 7.7M elements once per point of the K^3 lattice
+    from rislink.metrics import outage_exact
+
+    stat = _heterogeneous_n2_stat()
+    counted = _count_log_gamma(monkeypatch)
+    assert 0.0 < outage_exact(stat, 1.0) < 1.0
+    assert sum(counted) < 200_000
 
 
 def test_more_than_max_dims_rejected_before_evaluation(monkeypatch):
@@ -271,6 +364,10 @@ def test_dump_spec_mentions_every_term(tmp_path):
     text = buf.getvalue()
     assert "variables: 1" in text
     assert text.count("term") == 3
+    # a zero bound prints as 0, not -0
+    buf = io.StringIO()
+    dump_spec(exp_spec(2.5), buf)
+    assert "feasible=(0, inf)" in buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
