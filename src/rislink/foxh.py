@@ -14,9 +14,9 @@ evaluated once per 1-D axis. Variables whose coefficients agree in every
 cross-variable factor form a class: on the shared-step grid those factors
 see only the sum of the class's grid indices, so the class's axis weights
 are convolved onto one lattice. Every class lattice shares the step, so
-a cross factor whose class coefficients are g * p_c for small integers
-p_c sees only d = sum_c p_c * m_c of the class indices m_c, and is
-evaluated once per distinct argument, not once per lattice point.
+a cross factor whose class coefficients are integer multiples p_c of
+the smallest one sees only d = sum_c p_c * m_c of the class indices m_c,
+and is evaluated once per distinct argument, not once per lattice point.
 """
 from __future__ import annotations
 
@@ -287,22 +287,19 @@ def _step_vector(col, sizes) -> tuple[int, ...]:
     """Integer key coefficients p for a factor with class coefficients ``col``.
 
     On a shared-step grid the factor depends on the class indices m_c
-    only through d = sum_c p_c * m_c when col = g * p for a common g. If
-    the coefficients have no common step that gives fewer distinct d than
-    lattice points, p holds the strides of the flat lattice index, so
-    every point is its own key. Classes the factor skips get p_c = 0.
+    only through d = sum_c p_c * m_c when every coefficient is an integer
+    multiple p_c of the smallest one. If they are not, or that gives no
+    fewer distinct d than lattice points, p holds the strides of the flat
+    lattice index, so every point is its own key. Classes the factor skips
+    get p_c = 0.
     """
     active = [c for c, e in enumerate(col) if e]
-    points = math.prod(sizes[c] for c in active)
-    spread = sum(sizes[c] - 1 for c in active)
     base = min((col[c] for c in active), key=abs, default=1.0)
-    # every active |p_c| >= q, so a denominator q gives at least q*spread + 1 keys
-    for q in range(1, (points - 2) // max(spread, 1) + 1):
-        step = [round(q * e / base) for e in col]
-        # the common step base/q must give back every coefficient up to rounding
-        exact = all(math.isclose(p_c, q * e / base, rel_tol=1e-13) for p_c, e in zip(step, col))
-        if exact and sum(abs(p_c) * (k - 1) for p_c, k in zip(step, sizes)) + 1 < points:
-            return tuple(step)
+    step = [round(e / base) for e in col]
+    exact = all(math.isclose(p_c, e / base, rel_tol=1e-13) for p_c, e in zip(step, col))
+    keys = sum(abs(p_c) * (k - 1) for p_c, k in zip(step, sizes)) + 1
+    if exact and keys < math.prod(sizes[c] for c in active):
+        return tuple(step)
     return tuple(math.prod(sizes[c] for c in active if c > a) if a in active else 0 for a in range(len(col)))
 
 
@@ -311,7 +308,9 @@ def _key_table(p, sizes):
 
     Returns the keys sum_c p_c * m_c, shifted to start at 0 and shaped
     like the lattice of the classes with p_c != 0, and per class the
-    indices m_c of one lattice point for each key.
+    indices m_c of one lattice point for each key. Keys that no lattice
+    point reaches point at the origin, a valid point that no gather reads:
+    p = (1, 3, 6) over a one-row chunk reaches only multiples of 3.
     """
     key = np.zeros((1,) * len(sizes), dtype=np.intp)
     for c, (p_c, k) in enumerate(zip(p, sizes)):
@@ -320,7 +319,7 @@ def _key_table(p, sizes):
             shape[c] = k
             m = p_c * np.arange(k)
             key = key + (m - m.min()).reshape(shape)
-    point = np.empty(sum(abs(p_c) * (k - 1) for p_c, k in zip(p, sizes)) + 1, dtype=np.intp)
+    point = np.zeros(sum(abs(p_c) * (k - 1) for p_c, k in zip(p, sizes)) + 1, dtype=np.intp)
     point[key.ravel()] = np.arange(key.size)
     return key, np.unravel_index(point, key.shape)
 

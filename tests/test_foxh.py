@@ -255,25 +255,12 @@ def test_class_pass_matches_point_by_point_sum(monkeypatch, shift):
     _assert_pass_matches_point_by_point_sum(monkeypatch, spec, np.array([4.0, 3.0, 5.0]), 0.25, shift)
 
 
-def _irrational_two_class_spec():
-    # Gamma(t1) Gamma(t2) Gamma(a - t1 - sqrt(2) t2): the cross coefficients
-    # have no common step, so the cross factor is keyed by the flat index
-    terms = (
-        GammaTerm(0.0, (1.0, 0.0)),
-        GammaTerm(0.0, (0.0, 1.0)),
-        GammaTerm(2.3, (1.0, math.sqrt(2.0)), orientation=-1),
-    )
-    return FoxHSpec(args=(0.8, 1.5), terms=terms, contour_re=(0.5, 0.5))
-
-
-def _mixed_sign_two_class_spec():
-    # Gamma(t1) Gamma(t2) Gamma(a - t1 + t2/2): keys -2*m1 + m2, shifted to start at 0
-    terms = (
-        GammaTerm(0.0, (1.0, 0.0)),
-        GammaTerm(0.0, (0.0, 1.0)),
-        GammaTerm(2.3, (1.0, -0.5), orientation=-1),
-    )
-    return FoxHSpec(args=(0.8, 1.5), terms=terms, contour_re=(0.5, 0.5))
+def _cross_spec(coeffs, offset):
+    """Gamma(t_1) ... Gamma(t_n) Gamma(offset - sum_i coeffs[i] t_i): one class per variable."""
+    n = len(coeffs)
+    terms = tuple(GammaTerm(0.0, tuple(float(i == j) for j in range(n))) for i in range(n))
+    terms += (GammaTerm(offset, tuple(coeffs), orientation=-1),)
+    return FoxHSpec(args=(0.8, 1.5, 1.2)[:n], terms=terms, contour_re=(0.5,) * n)
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.5])
@@ -283,17 +270,21 @@ def _mixed_sign_two_class_spec():
         (lambda: _combined_cdf_spec("FP1", 1), [4.0, 5.0], (2, 1)),
         (lambda: _combined_cdf_spec("FP2", 1), [4.0, 5.0], (1, 2)),
         (_heterogeneous_n2_cdf_spec, [4.0, 3.0, 5.0], (2, 1, 1)),
-        (_irrational_two_class_spec, [4.0, 5.0], None),
-        (_mixed_sign_two_class_spec, [4.0, 5.0], (-2, 1)),
+        (lambda: _cross_spec((1.0, math.sqrt(2.0)), 2.3), [4.0, 5.0], None),
+        (lambda: _cross_spec((1.0, 1.5), 2.3), [4.0, 5.0], None),
+        (lambda: _cross_spec((1.0, -0.5), 2.3), [4.0, 5.0], (-2, 1)),
+        (lambda: _cross_spec((1.0, 3.0, 6.0), 5.8), [4.0, 3.0, 5.0], (1, 3, 6)),
     ],
-    ids=["fp1-n1", "fp2-n1", "heterogeneous-n2", "irrational-flat-key", "mixed-sign"],
+    ids=["fp1-n1", "fp2-n1", "heterogeneous-n2", "irrational-flat-key", "ratio-2-3-flat-key", "mixed-sign", "gapped-keys"],
 )
 def test_cross_keys_match_point_by_point_sum(monkeypatch, build, T, step, shift):
     # Each cross factor spanning several classes is evaluated once per
     # distinct key and gathered onto the lattice; every key kind must give
     # the point-by-point sum: steps 1 : 1/2 and 1/2 : 1 over two classes,
-    # three classes, the flat index (None) of coefficients 1 : sqrt(2), and
-    # coefficients of opposite sign.
+    # three classes, the flat index (None) of coefficients 1 : sqrt(2) and
+    # 1 : 1.5 (not integer multiples of the smallest), coefficients of
+    # opposite sign, and step (1, 3, 6), whose one-row chunks of the
+    # leading class reach only every third key.
     spec = build()
     per_var, cross, classes = foxh._split_terms(spec)
     assert len(classes) == len(T)
