@@ -4,7 +4,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["SPEED_OF_LIGHT", "LinkGeometry", "LinkBudget", "pathloss_cascaded", "pathloss_direct", "budget"]
+__all__ = [
+    "SPEED_OF_LIGHT", "LinkGeometry", "LinkBudget", "pathloss_cascaded", "pathloss_direct", "budget", "relay_hop_budgets"
+]
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -57,3 +59,15 @@ def budget(geom: LinkGeometry, pt_dbm: float, noise_dbm: float = -74.0) -> LinkB
     """Average SNR scales gamma0 = gain^2 * Pt / noise for both branches."""
     snr = dbm_to_watt(pt_dbm) / dbm_to_watt(noise_dbm)
     return LinkBudget(gamma0_ris=pathloss_cascaded(geom) ** 2 * snr, gamma0_d=pathloss_direct(geom) ** 2 * snr)
+
+
+def relay_hop_budgets(geom: LinkGeometry, pt_dbm: float, noise_dbm: float) -> tuple[float, float]:
+    """Average-SNR scales of the decode-and-forward relay's two hops.
+
+    Each hop is a single Friis segment (d1 then d2); the relay re-transmits
+    at full configured power, and array gains stay with their terminals.
+    """
+    snr = dbm_to_watt(pt_dbm) / dbm_to_watt(noise_dbm)
+    h1 = math.sqrt(db_to_linear(geom.gain_tx_dbi)) * SPEED_OF_LIGHT / (4.0 * math.pi * geom.freq_hz * geom.d1_m)
+    h2 = math.sqrt(db_to_linear(geom.gain_rx_dbi)) * SPEED_OF_LIGHT / (4.0 * math.pi * geom.freq_hz * geom.d2_m)
+    return h1**2 * snr, h2**2 * snr

@@ -57,7 +57,30 @@ class CurveResult:
     warnings: tuple[str, ...]
 
 
-def _effective_methods(config: ScenarioConfig, warnings: list[str]) -> tuple[str, ...]:
+# Which methods fill which quantity, in column order, and the call that fills
+# each cell from (config, budget, modulation, Monte-Carlo tally).
+_FILLS = {
+    "outage": {
+        "exact": lambda cfg, bud, mod, mc: branch_outage(*cfg.system.branches(cfg.scenario), bud, cfg.gamma_th),
+        "asymptotic": lambda cfg, bud, mod, mc: outage_asymptotic(
+            combined_snr_stat(cfg.system.ensemble(), bud), cfg.gamma_th
+        ),
+        "mc": lambda cfg, bud, mod, mc: mc.outage(),
+    },
+    "ber": {
+        "exact": lambda cfg, bud, mod, mc: branch_ber(*cfg.system.branches(cfg.scenario), bud, mod),
+        "mc": lambda cfg, bud, mod, mc: mc.ber(),
+    },
+}
+
+
+def _columns(quantity: str, method: str) -> tuple[str, ...]:
+    """CSV columns of one (quantity, method) pair: its value, and for Monte-Carlo its standard error."""
+    name = f"{quantity}_{method}"
+    return (name, f"{name}_se") if method == "mc" else (name,)
+
+
+def _effective_methods(config: ScenarioConfig, quantities, warnings: list[str]) -> tuple[str, ...]:
     """The requested methods that can evaluate the scenario; Monte-Carlo stands in for the rest."""
     methods = list(config.methods)
     branches = config.system.branches(config.scenario)
@@ -72,6 +95,9 @@ def _effective_methods(config: ScenarioConfig, warnings: list[str]) -> tuple[str
                 unavailable["exact"] = f"{nvars} contour variables exceed MAX_DIMS={MAX_DIMS}"
     if "asymptotic" in methods and config.scenario != "combined":
         unavailable["asymptotic"] = f"no asymptote for scenario '{config.scenario}', only for 'combined'"
+    for method in methods:
+        if not any(method in _FILLS[q] for q in quantities):
+            unavailable.setdefault(method, f"{method} gives no {' or '.join(quantities)} value")
     for method, reason in unavailable.items():
         warnings.append(f"{reason}; {method} falls back to Monte-Carlo")
         methods.remove(method)
@@ -88,31 +114,18 @@ def run_sweep(config: ScenarioConfig, quantity: str = "outage") -> CurveResult:
     """
     if quantity not in ("outage", "ber", "both"):
         raise ValueError(f"quantity must be outage/ber/both, got '{quantity}'")
+    quantities = tuple(_FILLS) if quantity == "both" else (quantity,)
     warnings: list[str] = []
-    methods = _effective_methods(config, warnings)
-    want_outage = quantity in ("outage", "both")
-    want_ber = quantity in ("ber", "both")
+    methods = _effective_methods(config, quantities, warnings)
+    pairs = [(q, m) for q in quantities for m in _FILLS[q] if m in methods]
+    columns = ["pt_dbm"] + [c for pair in pairs for c in _columns(*pair)]
     mod = ModulationParams(config.modulation_a, config.modulation_b)
-    branches = config.system.branches(config.scenario)
-
-    columns = ["pt_dbm"]
-    if want_outage:
-        if "exact" in methods:
-            columns.append("outage_exact")
-        if "asymptotic" in methods:
-            columns.append("outage_asymptotic")
-        if "mc" in methods:
-            columns += ["outage_mc", "outage_mc_se"]
-    if want_ber:
-        if "exact" in methods:
-            columns.append("ber_exact")
-        if "mc" in methods:
-            columns += ["ber_mc", "ber_mc_se"]
 
     rows = []
     for pt in sorted(config.pt_dbm):
         cells: dict[str, float] = {"pt_dbm": pt}
         bud = budget(config.system.geometry, pt, config.system.noise_dbm)
+        mc = None
         if "mc" in methods:
             # One simulation pass serves both quantities.
             mc = tally(
@@ -123,39 +136,16 @@ def run_sweep(config: ScenarioConfig, quantity: str = "outage") -> CurveResult:
                     master_seed=config.mc_seed,
                     scenario=config.scenario,
                 ),
-                gamma_th=config.gamma_th if want_outage else None,
-                mod=mod if want_ber else None,
+                gamma_th=config.gamma_th if "outage" in quantities else None,
+                mod=mod if "ber" in quantities else None,
             )
-
-        def attempt(name, fn):
+        for q, m in pairs:
+            names = _columns(q, m)
             try:
-                cells[name] = fn()
+                value = _FILLS[q][m](config, bud, mod, mc)
+                cells.update(zip(names, (value.mean, value.std_error) if m == "mc" else (value,)))
             except (NotConverged, NoValidContour, DegenerateEstimate, RuntimeError, ValueError) as e:
-                warnings.append(f"{name} failed at pt={pt:g} dBm: {e}")
-
-        if want_outage:
-            if "exact" in methods:
-                attempt("outage_exact", lambda: branch_outage(*branches, bud, config.gamma_th))
-            if "asymptotic" in methods:
-                stat = combined_snr_stat(config.system.ensemble(), bud)
-                attempt("outage_asymptotic", lambda: outage_asymptotic(stat, config.gamma_th))
-            if "mc" in methods:
-                def mc_outage():
-                    est = mc.outage()
-                    cells["outage_mc_se"] = est.std_error
-                    return est.mean
-
-                attempt("outage_mc", mc_outage)
-        if want_ber:
-            if "exact" in methods:
-                attempt("ber_exact", lambda: branch_ber(*branches, bud, mod))
-            if "mc" in methods:
-                def mc_ber():
-                    est = mc.ber()
-                    cells["ber_mc_se"] = est.std_error
-                    return est.mean
-
-                attempt("ber_mc", mc_ber)
+                warnings.append(f"{names[0]} failed at pt={pt:g} dBm: {e}")
         rows.append(tuple(cells.get(c) for c in columns))
 
     quad = QuadratureConfig()
@@ -264,8 +254,9 @@ def _cmd_verify(args) -> int:
     for row in result.rows:
         cells = dict(zip(cols, row))
         checked = len(failures)
-        for exact_key, mc_key in (("outage_exact", "outage_mc"), ("ber_exact", "ber_mc")):
-            ex, mc, se = cells.get(exact_key), cells.get(mc_key), cells.get(mc_key + "_se")
+        for q in _FILLS:
+            (exact_key,), (mc_key, se_key) = _columns(q, "exact"), _columns(q, "mc")
+            ex, mc, se = cells.get(exact_key), cells.get(mc_key), cells.get(se_key)
             where = f"{exact_key} vs {mc_key} at pt={cells['pt_dbm']:g}"
             if ex is None or mc is None:
                 failures.append(f"{where}: value missing")

@@ -52,6 +52,8 @@ _BRANCH_SETS = {"combined": (True, True), "ris_only": (True, False), "dt_only": 
 SCENARIOS = tuple(_BRANCH_SETS)
 # most points a pt_start_dbm/pt_stop_dbm/pt_step_db range may expand to
 _MAX_SWEEP_POINTS = 10_000
+# most reflecting elements a scenario may have
+_MAX_ELEMENTS = 10_000
 
 
 class ParseError(ValueError):
@@ -148,14 +150,14 @@ class ScenarioConfig:
 
     system: SystemConfig
     pt_dbm: tuple[float, ...]
-    gamma_th_db: float = 0.0
-    modulation_a: float = 1.0
-    modulation_b: float = 1.0
-    methods: tuple[str, ...] = ("exact", "mc")
-    mc_trials: int = 1_000_000
-    mc_seed: int = 0
-    scenario: str = "combined"
-    output: str | None = None
+    gamma_th_db: float
+    modulation_a: float
+    modulation_b: float
+    methods: tuple[str, ...]
+    mc_trials: int
+    mc_seed: int
+    scenario: str
+    output: str | None
 
     def __post_init__(self):
         object.__setattr__(self, "pt_dbm", tuple(float(p) for p in self.pt_dbm))
@@ -187,11 +189,13 @@ def _parse_fading_block(value: str, key: str, line: int) -> DggParams:
 
 
 def parse_methods(value: str, line: int | None = None) -> tuple[str, ...]:
-    """Method names from a comma- or space-separated list."""
+    """Distinct method names from a comma- or space-separated list."""
     methods = tuple(value.replace(",", " ").split())
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in _VALID_METHODS:
             raise ParseError(f"unknown method '{m}', expected {_VALID_METHODS}", line, "methods")
+        if m in methods[:i]:
+            raise ParseError(f"method '{m}' given twice", line, "methods")
     return methods
 
 
@@ -259,8 +263,9 @@ def parse_config_text(text: str) -> ScenarioConfig:
     n_elements = take_int("n_elements")
     if n_elements is None:
         problems.append("n_elements is required")
-    elif n_elements < 1:
-        problems.append(f"n_elements must be >= 1, got {n_elements}")
+    elif not 1 <= n_elements <= _MAX_ELEMENTS:  # checked before the element list is built
+        problems.append(f"n_elements must be in 1..{_MAX_ELEMENTS}, got {n_elements}")
+        n_elements = None
 
     preset_value, preset_line = take("fading_preset")
     ris_value, ris_line = take("ris_fading")
@@ -281,7 +286,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
     if direct is None:
         problems.append("no direct-link fading given (need fading_preset or direct_fading)")
 
-    elements = list((cascade,) * n_elements) if (cascade and n_elements and n_elements > 0) else []
+    elements = list((cascade,) * n_elements) if (cascade and n_elements) else []
     slots = set()
     for key, (value, lineno) in element_keys.items():
         # element<i>_hop<j> = fading block, 1-based indices

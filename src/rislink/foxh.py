@@ -391,17 +391,13 @@ def _tensor_pass(spec: FoxHSpec, cross, classes, axis_logs, axes_y, h, T):
         lattices.append(sum(axes_y[i][0] for i in members) + h * np.arange(w.size))
     rest = tuple(lat.size for lat in lattices[1:])
 
-    # Factors off the leading class are evaluated once and broadcast; the
-    # others chunk by chunk along the leading class lattice.
-    lead = classes[0][0]
-    fixed = _cross_log([t for t in cross if not t.effective_coeffs()[lead]], classes, anchors, lattices)
-    lead_terms = [t for t in cross if t.effective_coeffs()[lead]]
+    # cross factors are evaluated chunk by chunk along the leading class lattice
     rows = max(1, _CHUNK_ROWS // math.prod(rest))
     levels, sums = [], []
     for start in range(0, lattices[0].size, rows):
         rs = slice(start, start + rows)
         coords = [lattices[0][rs]] + lattices[1:]
-        logx = fixed + _cross_log(lead_terms, classes, anchors, coords)
+        logx = _cross_log(cross, classes, anchors, coords)
         levels.append(float(np.max(np.real(logx))))
         x = np.broadcast_to(np.exp(logx - levels[-1]), (coords[0].size,) + rest)
         sums.append((
@@ -438,7 +434,25 @@ def _initial_step(spec: FoxHSpec, quad: QuadratureConfig) -> float:
     return min(quad.step, 2.0 * math.pi / (omega + 75.0))
 
 
-def _eval_tensor(spec: FoxHSpec, quad: QuadratureConfig):
+def _from_log(log_scale: float, raw: complex) -> complex:
+    """exp(log_scale) * raw without overflow in the scale factor."""
+    if log_scale < 600.0:
+        return math.exp(log_scale) * raw
+    mag = abs(raw)
+    if mag == 0.0:
+        return 0.0j
+    return math.exp(min(log_scale + math.log(mag), 700.0)) * (raw / mag)
+
+
+def eval_foxh(spec: FoxHSpec, quad: QuadratureConfig = QuadratureConfig()):
+    """Evaluate the contour integral; returns (real value, error estimate).
+
+    The error estimate is the disagreement of the trapezoid and offset
+    midpoint grids, floored at the cancellation noise. Specs with more
+    than MAX_DIMS contour variables are rejected before any evaluation.
+    """
+    if spec.num_vars > MAX_DIMS:
+        raise ValueError(f"MAX_DIMS: at most {MAX_DIMS} contour variables, got {spec.num_vars}")
     per_var, cross, classes = _split_terms(spec)
     T = _scan_truncation(spec, quad)
     h = _initial_step(spec, quad)
@@ -479,28 +493,6 @@ def _eval_tensor(spec: FoxHSpec, quad: QuadratureConfig):
         else:
             h /= 2.0
     raise NotConverged(float(delta), float(value.real))
-
-
-def _from_log(log_scale: float, raw: complex) -> complex:
-    """exp(log_scale) * raw without overflow in the scale factor."""
-    if log_scale < 600.0:
-        return math.exp(log_scale) * raw
-    mag = abs(raw)
-    if mag == 0.0:
-        return 0.0j
-    return math.exp(min(log_scale + math.log(mag), 700.0)) * (raw / mag)
-
-
-def eval_foxh(spec: FoxHSpec, quad: QuadratureConfig = QuadratureConfig()):
-    """Evaluate the contour integral; returns (real value, error estimate).
-
-    The error estimate is the disagreement of the trapezoid and offset
-    midpoint grids, floored at the cancellation noise. Specs with more
-    than MAX_DIMS contour variables are rejected before any evaluation.
-    """
-    if spec.num_vars > MAX_DIMS:
-        raise ValueError(f"MAX_DIMS: at most {MAX_DIMS} contour variables, got {spec.num_vars}")
-    return _eval_tensor(spec, quad)
 
 
 def dump_spec(spec: FoxHSpec, fh) -> None:

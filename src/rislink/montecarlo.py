@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .channel import SPEED_OF_LIGHT, budget, db_to_linear, dbm_to_watt
+from .channel import budget, relay_hop_budgets
 from .config import SCENARIOS, SystemConfig
 from .dgg import cascade_sample, dgg_sample
 
@@ -71,19 +71,6 @@ class McEstimate:
     n: int
 
 
-def _df_hop_budgets(config: SystemConfig, pt_dbm: float) -> tuple[float, float]:
-    """Per-hop average-SNR scales for the relay baseline.
-
-    Each hop is a single Friis segment (d1 then d2); the relay re-transmits
-    at full configured power, and array gains stay with their terminals.
-    """
-    g = config.geometry
-    snr = dbm_to_watt(pt_dbm) / dbm_to_watt(config.noise_dbm)
-    h1 = math.sqrt(db_to_linear(g.gain_tx_dbi)) * SPEED_OF_LIGHT / (4.0 * math.pi * g.freq_hz * g.d1_m)
-    h2 = math.sqrt(db_to_linear(g.gain_rx_dbi)) * SPEED_OF_LIGHT / (4.0 * math.pi * g.freq_hz * g.d2_m)
-    return h1**2 * snr, h2**2 * snr
-
-
 def simulate_snr(plan: SimPlan, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw n end-to-end SNR realizations for the plan's scenario.
 
@@ -94,7 +81,7 @@ def simulate_snr(plan: SimPlan, rng: np.random.Generator, n: int) -> np.ndarray:
     config = plan.config
     branches = config.branches(plan.scenario)
     if branches is None:  # the decode-and-forward relay
-        g1, g2 = _df_hop_budgets(config, plan.pt_dbm)
+        g1, g2 = relay_hop_budgets(config.geometry, plan.pt_dbm, config.noise_dbm)
         hops = config.elements[0]
         snr1 = _scaled_square(g1, dgg_sample(hops.hop1, rng, n))
         snr2 = _scaled_square(g2, dgg_sample(hops.hop2, rng, n))

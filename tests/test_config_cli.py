@@ -91,6 +91,23 @@ def test_two_keys_for_one_setting_rejected(extra, line, key):
     assert (exc.value.line, exc.value.key) == (line, key)
 
 
+@pytest.mark.parametrize("methods", ["exact,exact", "mc mc exact", "mc,exact,asymptotic,mc"])
+def test_repeated_method_rejected(methods):
+    with pytest.raises(ParseError, match="method '(exact|mc)' given twice") as exc:
+        parse_config_text(MINIMAL + f"methods = {methods}\n")
+    assert (exc.value.line, exc.value.key) == (6, "methods")
+
+
+def test_n_elements_bounded():
+    # the bound is checked before the element list is built
+    text = "fading_preset = FP1\npt_dbm = 10\nn_elements = "
+    assert parse_config_text(text + "10000\n").system.n_elements == 10_000
+    for n in ("10001", "1000000000000", "0"):
+        with pytest.raises(ValidationError) as exc:
+            parse_config_text(text + n + "\n")
+        assert exc.value.problems == [f"n_elements must be in 1..10000, got {n}"]
+
+
 def test_custom_fading_blocks_and_overrides():
     cfg = parse_config_text(
         "n_elements = 2\n"
@@ -470,8 +487,10 @@ def test_cli_invalid_config_is_error(tmp_path):
         (["--methods", "magic"], MINIMAL),
         (["--seed", "-1"], MINIMAL),
         ([], MINIMAL + "mc_seed = -1\n"),
+        (["--methods", "mc,exact,mc"], MINIMAL),
+        ([], MINIMAL + "methods = exact,exact\n"),
     ],
-    ids=["trials-flag", "methods-flag", "seed-flag", "seed-key"],
+    ids=["trials-flag", "methods-flag", "seed-flag", "seed-key", "repeated-method-flag", "repeated-method-key"],
 )
 def test_cli_invalid_setting_is_error(tmp_path, capsys, argv, text):
     cfg = write_cfg(tmp_path, text=text)
@@ -494,6 +513,7 @@ def test_cli_invalid_setting_is_error(tmp_path, capsys, argv, text):
         ("d1_m", "1e200"),
         ("noise_dbm", "nan"),
         ("modulation_a", "nan"),
+        ("n_elements", "1000000000000"),
     ],
 )
 def test_cli_unusable_number_is_error(tmp_path, capsys, key, value):
@@ -509,6 +529,17 @@ def test_cli_fallback_warning_exit_code(tmp_path):
     out = tmp_path / "c.csv"
     code = main(["outage", "--config", cfg, "--output", str(out), "--quiet"])
     assert code == EXIT_WARNINGS
+
+
+def test_cli_method_without_a_column_falls_back_to_mc(tmp_path, capsys):
+    # the asymptote is an outage method: a BER sweep simulates instead, and says so
+    cfg = write_cfg(tmp_path, text=MINIMAL + "methods = asymptotic\n")
+    out = tmp_path / "c.csv"
+    assert main(["ber", "--config", cfg, "--output", str(out)]) == EXIT_WARNINGS
+    assert "warning: asymptotic gives no ber value; asymptotic falls back to Monte-Carlo" in capsys.readouterr().err
+    text = out.read_text()
+    assert "# methods: mc\n" in text
+    assert "\npt_dbm,ber_mc,ber_mc_se\n" in text
 
 
 def test_cli_foxh_eval(tmp_path, capsys):

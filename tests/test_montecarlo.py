@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from rislink.channel import budget
+from rislink.channel import budget, relay_hop_budgets
 from rislink.config import SCENARIOS, preset_system
 from rislink.dgg import cascade_moment, dgg_moment, dgg_sample
 from rislink.metrics import ModulationParams
@@ -13,7 +13,6 @@ from rislink import montecarlo
 from rislink.montecarlo import (
     DegenerateEstimate,
     SimPlan,
-    _df_hop_budgets,
     estimate_ber,
     estimate_outage,
     simulate_snr,
@@ -79,7 +78,7 @@ def test_df_relay_outage_matches_product_rule():
     pt, gamma_th = 10.0, 1.0
     plan = make_plan(pt=pt, trials=400_000, scenario="df_relay")
     joint = estimate_outage(plan, gamma_th)
-    g1, g2 = _df_hop_budgets(cfg, pt)
+    g1, g2 = relay_hop_budgets(cfg.geometry, pt, cfg.noise_dbm)
     rng = np.random.default_rng(41)
     hop = cfg.elements[0]
     p1 = float(np.mean(g1 * dgg_sample(hop.hop1, rng, 400_000) ** 2 <= gamma_th))
