@@ -39,7 +39,7 @@ from .foxh import (
     dump_spec,
     eval_foxh,
 )
-from .metrics import ModulationParams, branch_ber, branch_outage, diversity, outage_asymptotic
+from .metrics import ModulationParams, branch_ber, branch_diversity, branch_outage, outage_asymptotic
 from .montecarlo import DegenerateEstimate, SimPlan, tally
 
 __all__ = ["CurveResult", "run_sweep", "emit_csv", "main"]
@@ -227,11 +227,16 @@ def _cmd_sweep(args, quantity: str) -> int:
 
 def _cmd_diversity(args) -> int:
     config = load_config(args.config)
-    report = diversity(config.system.ensemble())
+    branches = config.system.branches(config.scenario)
+    if branches is None:
+        print(f"error: no diversity orders for scenario '{config.scenario}'", file=sys.stderr)
+        return EXIT_ERROR
+    report = branch_diversity(*branches)
     print(f"g_out = {report.g_out:.6g}")
     print(f"g_ber = {report.g_ber:.6g}")
     print(f"per_element_minima = {[round(m, 6) for m in report.per_element_minima]}")
-    print(f"direct_min = {report.direct_min:.6g}")
+    if report.direct_min is not None:
+        print(f"direct_min = {report.direct_min:.6g}")
     return EXIT_OK
 
 
@@ -293,9 +298,9 @@ def _check_spec_numbers(payload) -> None:
 
 
 def _cmd_foxh_eval(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
     try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
         _check_spec_numbers(payload)
         terms = tuple(
             GammaTerm(
@@ -313,7 +318,7 @@ def _cmd_foxh_eval(args) -> int:
     except KeyError as e:
         print(f"error: spec has no field {e}", file=sys.stderr)
         return EXIT_ERROR
-    except TypeError as e:  # not an object, or a field of the wrong JSON type
+    except (TypeError, OverflowError) as e:  # not an object, a wrong JSON type, or past the float range
         print(f"error: malformed spec: {e}", file=sys.stderr)
         return EXIT_ERROR
     except (ValueError, NotConverged) as e:

@@ -204,8 +204,8 @@ def setting_problems(methods: tuple[str, ...], mc_trials: int, mc_seed: int) -> 
     problems = []
     if not methods:
         problems.append("at least one method is required")
-    if mc_trials < 10_000:
-        problems.append(f"mc_trials must be >= 10000, got {mc_trials}")
+    if not 10_000 <= mc_trials <= 1_000_000_000:  # at most 10,000 Monte-Carlo seeding units
+        problems.append(f"mc_trials must be in 10000..1000000000, got {mc_trials}")
     if mc_seed < 0:
         problems.append(f"mc_seed must be >= 0, got {mc_seed}")
     return problems

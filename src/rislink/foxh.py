@@ -17,6 +17,10 @@ are convolved onto one lattice. Every class lattice shares the step, so
 a cross factor whose class coefficients are integer multiples p_c of
 the smallest one sees only d = sum_c p_c * m_c of the class indices m_c,
 and is evaluated once per distinct argument, not once per lattice point.
+
+Each axis is truncated where Stirling's formula for every Gamma factor
+puts the integrand below the noise threshold along the axes and the two
+diagonals (Paris & Kaminski, Asymptotics and Mellin-Barnes Integrals).
 """
 from __future__ import annotations
 
@@ -83,9 +87,6 @@ class GammaTerm:
 
     def effective_coeffs(self) -> np.ndarray:
         return self.orientation * np.asarray(self.coeffs)
-
-    def argument(self, t: np.ndarray) -> np.ndarray:
-        return self.offset + t @ self.effective_coeffs()
 
 
 @dataclass(frozen=True)
@@ -224,42 +225,33 @@ def _axis_logs(spec: FoxHSpec, per_var, axes_y):
     return out
 
 
-def _log_at(spec: FoxHSpec, y: np.ndarray) -> np.ndarray:
-    """Full integrand log at imaginary parts y, shape (m, N)."""
-    t = np.asarray(spec.contour_re) + 1j * np.atleast_2d(y)
-    logz = np.log(np.asarray(spec.args, dtype=complex))
-    acc = -(t @ logz)
-    for term in spec.terms:
-        acc = acc + term.sign * log_gamma(term.argument(t))
-    return acc
-
-
 def _scan_truncation(spec: FoxHSpec, quad: QuadratureConfig) -> np.ndarray:
     """Per-variable half-length where the integrand has decayed to noise.
 
-    Scans each imaginary axis with the other variables at zero, plus the
-    joint diagonal: denominator factors coupling several variables grow
-    when those variables move together, so the joint decay can be slower
-    than any single-axis scan suggests.
+    Probes each imaginary axis with the other variables at zero, and the
+    two diagonals (for one variable, the axis and its mirror): denominator
+    factors coupling several variables grow when those variables move
+    together, so the joint decay can be slower than any axis shows. Along
+    direction d a factor's argument is w = sigma + i*s*(c.d), and its
+    log-modulus is Stirling's (sigma - 1/2) ln|w| - Im(w) arg w - sigma +
+    ln(2 pi)/2; log Gamma itself gives only the level at y = 0, which also
+    stands for each factor that d leaves constant.
     """
     n = spec.num_vars
     probe = np.arange(0.0, HALF_LENGTH + 0.25, 0.25)
-    base = float(np.real(_log_at(spec, np.zeros((1, n)))[0]))
-    threshold = base + math.log(min(1e-10, quad.rel_tol * 1e-4))
-
-    def reach(pts: np.ndarray) -> float:
-        above = np.nonzero(np.real(_log_at(spec, pts)) > threshold)[0]
-        return float(probe[above[-1]]) if above.size else 0.0
-
-    T = np.empty(n)
-    for i in range(n):
-        pts = np.zeros((probe.size, n))
-        pts[:, i] = probe
-        T[i] = reach(pts)
-    if n > 1:
-        for signs in ((1.0,) * n, (1.0,) * (n - 1) + (-1.0,)):
-            diag = reach(probe[:, None] * np.asarray(signs))
-            T = np.maximum(T, diag)
+    dirs = np.vstack([np.eye(n), np.ones(n), np.r_[np.ones(n - 1), -1.0]])
+    coeffs = np.array([term.effective_coeffs() for term in spec.terms]).reshape(len(spec.terms), n)
+    signs = np.array([term.sign for term in spec.terms])
+    sigma = np.array([term.offset for term in spec.terms]) + coeffs @ np.asarray(spec.contour_re)
+    exact = np.real(log_gamma(sigma))
+    # the kernel z^{-t} has constant modulus along every direction
+    rate = dirs @ coeffs.T
+    w = sigma + 1j * probe[:, None, None] * rate
+    stirling = (sigma - 0.5) * np.log(np.abs(w)) - w.imag * np.angle(w) - sigma + 0.5 * math.log(2.0 * math.pi)
+    level = np.where(rate == 0.0, exact, stirling) @ signs
+    above = level > exact @ signs + math.log(min(1e-10, quad.rel_tol * 1e-4))
+    reach = np.max(np.where(above, probe[:, None], 0.0), axis=0)
+    T = np.maximum(reach[:n], reach[n:].max())
     return np.minimum(np.maximum(T + 1.0, 4.0), HALF_LENGTH)
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "DiversityReport",
     "branch_outage",
     "branch_ber",
+    "branch_diversity",
     "outage_exact",
     "outage_asymptotic",
     "ber_exact",
@@ -47,7 +48,7 @@ class DiversityReport:
     g_out: float
     g_ber: float
     per_element_minima: tuple[float, ...]
-    direct_min: float
+    direct_min: float | None
 
 
 def branch_outage(
@@ -246,21 +247,22 @@ def _multiset_permutations(combo, count: int) -> int:
     return out
 
 
-def diversity(ensemble: RisEnsemble) -> DiversityReport:
-    """Outage and BER diversity orders (pure arithmetic on shape products)."""
-    minima = tuple(
-        min(alpha * beta for alpha, beta in cascade_shapes(c)) / 2.0 for c in ensemble.elements
-    )
-    d = ensemble.direct
-    direct_min = min(d.alpha1 * d.beta1, d.alpha2 * d.beta2) / 2.0
-    ber_minima = [
-        min((alpha * beta - 1.0) for alpha, beta in cascade_shapes(c)) / 2.0
-        for c in ensemble.elements
-    ]
-    ber_direct = min(d.alpha1 * d.beta1 - 1.0, d.alpha2 * d.beta2 - 1.0) / 2.0
+def branch_diversity(elements: tuple[CascadeParams, ...], direct: DggParams | None) -> DiversityReport:
+    """Outage and BER diversity orders of a branch set, from each branch's smallest
+    shape product alpha*beta; ``direct_min`` is None without a direct link."""
+    shapes = [cascade_shapes(c) for c in elements]
+    if direct is not None:
+        shapes.append(((direct.alpha1, direct.beta1), (direct.alpha2, direct.beta2)))
+    minima = [min(alpha * beta for alpha, beta in s) / 2.0 for s in shapes]
+    ber_minima = [min(alpha * beta - 1.0 for alpha, beta in s) / 2.0 for s in shapes]
     return DiversityReport(
-        g_out=sum(minima) + direct_min,
-        g_ber=sum(ber_minima) + ber_direct,
-        per_element_minima=minima,
-        direct_min=direct_min,
+        g_out=sum(minima),
+        g_ber=sum(ber_minima),
+        per_element_minima=tuple(minima[: len(elements)]),
+        direct_min=minima[-1] if direct is not None else None,
     )
+
+
+def diversity(ensemble: RisEnsemble) -> DiversityReport:
+    """Outage and BER diversity orders of the combined link."""
+    return branch_diversity(ensemble.elements, ensemble.direct)

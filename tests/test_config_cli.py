@@ -98,6 +98,15 @@ def test_repeated_method_rejected(methods):
     assert (exc.value.line, exc.value.key) == (6, "methods")
 
 
+def test_mc_trials_bounded():
+    # at most 10,000 seeding units of montecarlo.UNIT_TRIALS
+    assert parse_config_text(MINIMAL.replace("20000", "1000000000")).mc_trials == 10**9
+    for n in ("1000000001", str(10**30), "1"):
+        with pytest.raises(ValidationError) as exc:
+            parse_config_text(MINIMAL.replace("20000", n))
+        assert exc.value.problems == [f"mc_trials must be in 10000..1000000000, got {n}"]
+
+
 def test_n_elements_bounded():
     # the bound is checked before the element list is built
     text = "fading_preset = FP1\npt_dbm = 10\nn_elements = "
@@ -419,6 +428,29 @@ def test_cli_diversity(tmp_path, capsys):
     assert "g_ber = 0.75" in captured
 
 
+@pytest.mark.parametrize(
+    "scenario,lines",
+    [
+        ("combined", ["g_out = 2.75", "g_ber = 1.25", "per_element_minima = [1.0, 1.0]", "direct_min = 0.75"]),
+        ("ris_only", ["g_out = 2", "g_ber = 1", "per_element_minima = [1.0, 1.0]"]),
+        ("dt_only", ["g_out = 0.75", "g_ber = 0.25", "per_element_minima = []", "direct_min = 0.75"]),
+    ],
+)
+def test_cli_diversity_reads_scenario(tmp_path, capsys, scenario, lines):
+    # the orders of the scenario's branch set, FP1 with N=2
+    cfg = write_cfg(tmp_path, text=f"scenario = {scenario}\nn_elements = 2\nfading_preset = FP1\npt_dbm = 10\n")
+    assert main(["diversity", "--config", cfg]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_cli_diversity_of_relay_is_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, text="scenario = df_relay\nn_elements = 2\nfading_preset = FP1\npt_dbm = 10\n")
+    assert main(["diversity", "--config", cfg]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == "error: no diversity orders for scenario 'df_relay'\n"
+    assert captured.out == ""
+
+
 # The flags each subcommand reads; argparse rejects every other flag.
 CLI_FLAGS = {
     "outage": ["--config", "--output", "--seed", "--trials", "--methods", "--quiet"],
@@ -501,6 +533,19 @@ def test_cli_invalid_setting_is_error(tmp_path, capsys, argv, text):
 
 
 @pytest.mark.parametrize(
+    "argv,text",
+    [(["--trials", str(10**30)], MINIMAL), ([], MINIMAL.replace("20000", str(10**30)))],
+    ids=["trials-flag", "trials-key"],
+)
+def test_cli_huge_trials_is_error(tmp_path, capsys, argv, text):
+    # caught by the setting check, before any seeding unit is built
+    cfg = write_cfg(tmp_path, text=text)
+    assert main(["outage", "--config", cfg, "--quiet", *argv]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "key,value",
     [
         ("gamma_th_db", "4000"),
@@ -578,6 +623,9 @@ def test_cli_foxh_eval(tmp_path, capsys):
         {"args": [2.5], "terms": [{"offset": 0.0, "coeffs": [1.0]}], "contour_re": ["1"]},
         {"args": [2.5], "terms": [{"offset": "0", "coeffs": [1.0]}]},
         {"args": [2.5], "terms": [{"offset": 0.0, "coeffs": [True]}]},
+        # JSON integers beyond the float range
+        {"args": [10**400], "terms": [{"offset": 0.0, "coeffs": [1.0]}]},
+        {"args": [2.5], "terms": [{"offset": -(10**400), "coeffs": [1.0]}]},
     ],
     ids=[
         "empty-contour",
@@ -591,6 +639,8 @@ def test_cli_foxh_eval(tmp_path, capsys):
         "string-anchor",
         "string-offset",
         "bool-coeff",
+        "huge-arg",
+        "huge-offset",
     ],
 )
 def test_cli_foxh_eval_invalid_spec_is_error(request, tmp_path, capsys, spec):
@@ -600,8 +650,20 @@ def test_cli_foxh_eval_invalid_spec_is_error(request, tmp_path, capsys, spec):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "value =" not in captured.out
-    if request.node.callspec.id.startswith(("string-", "bool-")):
+    if request.node.callspec.id.startswith(("string-", "bool-", "huge-")):
         assert captured.err.startswith("error: malformed spec: ")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"args": [1' + b"0" * 5000 + b'], "terms": []}', b"\xff\xfe{}"],
+    ids=["integer-past-the-digit-limit", "not-utf8"],
+)
+def test_cli_foxh_eval_unreadable_json_is_error(tmp_path, capsys, content):
+    path = tmp_path / "spec.json"
+    path.write_bytes(content)
+    assert main(["foxh-eval", "--config", str(path), "--quiet"]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_verify_deterministic_subprocess(tmp_path):

@@ -14,6 +14,7 @@ from scipy.special import kv
 
 from rislink import foxh
 from rislink.foxh import (
+    HALF_LENGTH,
     MAX_DIMS,
     FoxHSpec,
     GammaTerm,
@@ -24,6 +25,7 @@ from rislink.foxh import (
     suggest_anchors,
     validate_contour,
 )
+from rislink.special import log_gamma
 
 
 def exp_spec(z: float) -> FoxHSpec:
@@ -200,6 +202,70 @@ def test_cross_term_three_variable_multinomial():
     assert value == pytest.approx((1.0 + 0.8 + 1.5 + 0.3) ** -a, rel=1e-7)
 
 
+def _log_at(spec: FoxHSpec, y: np.ndarray) -> np.ndarray:
+    """Reference: the full integrand log at imaginary parts y, shape (m, N), factor by factor."""
+    t = np.asarray(spec.contour_re) + 1j * np.atleast_2d(y)
+    logz = np.log(np.asarray(spec.args, dtype=complex))
+    acc = -(t @ logz)
+    for term in spec.terms:
+        acc = acc + term.sign * log_gamma(term.offset + t @ term.effective_coeffs())
+    return acc
+
+
+def _probe_scan_truncation(spec: FoxHSpec, quad: QuadratureConfig) -> np.ndarray:
+    """Reference: the truncation from exact integrand levels on the probe grid
+    along each axis and the two diagonals (same threshold, pad and clamp)."""
+    n = spec.num_vars
+    probe = np.arange(0.0, HALF_LENGTH + 0.25, 0.25)
+    base = float(np.real(_log_at(spec, np.zeros((1, n)))[0]))
+    threshold = base + math.log(min(1e-10, quad.rel_tol * 1e-4))
+
+    def reach(pts: np.ndarray) -> float:
+        above = np.nonzero(np.real(_log_at(spec, pts)) > threshold)[0]
+        return float(probe[above[-1]]) if above.size else 0.0
+
+    T = np.empty(n)
+    for i in range(n):
+        pts = np.zeros((probe.size, n))
+        pts[:, i] = probe
+        T[i] = reach(pts)
+    if n > 1:
+        for signs in ((1.0,) * n, (1.0,) * (n - 1) + (-1.0,)):
+            T = np.maximum(T, reach(probe[:, None] * np.asarray(signs)))
+    return np.minimum(np.maximum(T + 1.0, 4.0), HALF_LENGTH)
+
+
+@pytest.mark.parametrize("pt_dbm", [10.0, 20.0, 30.0])
+@pytest.mark.parametrize("functional", ["cdf", "ber"])
+@pytest.mark.parametrize(
+    "n,direct",
+    [(0, True), (1, True), (2, True), (2, False), (3, False)],
+    ids=["direct-only", "combined-n1", "combined-n2", "reflected-n2", "reflected-n3"],
+)
+@pytest.mark.parametrize("preset", ["FP1", "FP2", "FP3"])
+def test_stirling_truncation_matches_probe_scan(preset, n, direct, functional, pt_dbm):
+    # Stirling's log-modulus stands in for the exact integrand on the probe grid
+    from rislink.channel import budget
+    from rislink.config import default_geometry, preset_fading
+    from rislink.exact_stats import snr_spec
+
+    cascade, d = preset_fading(preset)
+    bud = budget(default_geometry(), pt_dbm)
+    spec = snr_spec((cascade,) * n, d if direct else None, bud, functional, 1.0)[1]
+    quad = QuadratureConfig()
+    T = foxh._scan_truncation(spec, quad)
+    assert np.max(np.abs(T - _probe_scan_truncation(spec, quad))) <= 0.5
+
+
+def test_truncation_keeps_exact_level_of_constant_factors():
+    # Along the direct variable's axis the reflector's factors stay at their
+    # y = 0 value, exactly; Stirling's value for them would shift the level
+    # and put this T 0.25 short of the scan's (9.5 against 9.75).
+    spec = _combined_cdf_spec("FP1", 1)
+    quad = QuadratureConfig()
+    assert np.array_equal(foxh._scan_truncation(spec, quad), _probe_scan_truncation(spec, quad))
+
+
 def _assert_pass_matches_point_by_point_sum(monkeypatch, spec, T, h, shift):
     # Reference: the integrand evaluated at every point of a small tensor
     # grid; tiny chunks exercise the rescaling between chunks.
@@ -211,7 +277,7 @@ def _assert_pass_matches_point_by_point_sum(monkeypatch, spec, T, h, shift):
     )
 
     y = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, spec.num_vars)
-    v = np.exp(foxh._log_at(spec, y) - ref)
+    v = np.exp(_log_at(spec, y) - ref)
     outer = (np.abs(y) > T - 1.0).any(axis=1)
     assert absmass == pytest.approx(np.abs(v).sum(), rel=1e-12)
     assert abs(total - v.sum()) <= 1e-12 * absmass
@@ -311,7 +377,9 @@ def _count_log_gamma(monkeypatch) -> list:
 def test_identical_n2_outage_evaluates_few_log_gammas(monkeypatch):
     # A cross factor over several classes sees only an integer combination
     # of their grid indices, so it takes about sum_c |p_c| K_c arguments:
-    # 162k elements once per lattice point, 29M point by point.
+    # 162k elements once per lattice point, 29M point by point. The
+    # truncation evaluates log Gamma once, at y = 0: exact probe scans
+    # made 95 of 128 calls and 12.9k of 19.9k elements.
     from rislink.channel import budget
     from rislink.config import default_geometry, preset_fading
     from rislink.exact_stats import RisEnsemble, combined_snr_stat
@@ -321,17 +389,19 @@ def test_identical_n2_outage_evaluates_few_log_gammas(monkeypatch):
     stat = combined_snr_stat(RisEnsemble.identical(2, cascade, direct), budget(default_geometry(), 20.0))
     counted = _count_log_gamma(monkeypatch)
     assert 0.0 < outage_exact(stat, 1.0) < 1.0
-    assert sum(counted) < 40_000
+    assert sum(counted) < 8_000
+    assert len(counted) < 40
 
 
 def test_heterogeneous_n2_outage_evaluates_few_log_gammas(monkeypatch):
-    # three classes: 7.7M elements once per point of the K^3 lattice
+    # three classes: 7.7M elements once per point of the K^3 lattice, 44k
+    # with exact probe scans for the truncation
     from rislink.metrics import outage_exact
 
     stat = _heterogeneous_n2_stat()
     counted = _count_log_gamma(monkeypatch)
     assert 0.0 < outage_exact(stat, 1.0) < 1.0
-    assert sum(counted) < 200_000
+    assert sum(counted) < 35_000
 
 
 def test_more_than_max_dims_rejected_before_evaluation(monkeypatch):
