@@ -391,8 +391,13 @@ def parse_config_text(text: str) -> ScenarioConfig:
 
 
 def load_config(path: str) -> ScenarioConfig:
+    """Read and parse a scenario file; a file that is not UTF-8 is a ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"scenario file is not UTF-8 text: {e}") from None
+    return parse_config_text(text)
 
 
 def _semantic_repr(cfg: ScenarioConfig) -> str:

@@ -100,8 +100,55 @@ def dgg_moment(p: DggParams, k: float) -> float:
     return out
 
 
+# Largest integer shape drawn as a sum of exponentials, and the block of
+# draws whose uniforms are multiplied together. Drawing n = 100,000 on a
+# 2-CPU Xeon (numpy 2.4), k uniforms in blocks of 16,384 cost about
+# 2.1k + 1 ns per draw, numpy's Marsaglia-Tsang standard_gamma 14.6 ns for
+# each shape from 2 to 8 (k = 6: 13.5 ns, k = 7: 15.6 ns). Blocks of
+# 8,192 to 65,536 draws cost within 5 % of each other; drawing all n at
+# once costs about 2.5 ns more per draw and one more n-length buffer.
+_MAX_SUM_SHAPE = 6
+_BLOCK = 16_384
+
+
+def _standard_gamma(rng: np.random.Generator, shape: float, n: int) -> np.ndarray:
+    """n standard Gamma(shape) draws, the sampler of every dGG factor.
+
+    An integer shape k in 2.._MAX_SUM_SHAPE is a sum of k exponentials,
+    -log prod(1 - U_i) with U_i from rng.random (Devroye 1986, ch. IX),
+    drawn block by block: a block's k uniform vectors, then the next
+    block's. 1 - U lies in (0, 1], so the log never sees 0. Every other
+    shape, shape 1 included (numpy's exponential ziggurat), is
+    rng.standard_gamma, which gives the bits of rng.gamma(shape, size=n).
+    """
+    k = int(shape)
+    if k != shape or not 2 <= k <= _MAX_SUM_SHAPE:
+        return rng.standard_gamma(shape, n)
+    prod = np.empty(n)
+    u = np.empty(min(n, _BLOCK))
+    for start in range(0, n, _BLOCK):
+        block = prod[start : start + _BLOCK]
+        factor = u[: block.size]
+        rng.random(out=block)
+        np.subtract(1.0, block, out=block)
+        for _ in range(k - 1):
+            rng.random(out=factor)
+            np.subtract(1.0, factor, out=factor)
+            block *= factor
+    np.log(prod, out=prod)
+    np.negative(prod, out=prod)
+    return prod
+
+
 def dgg_sample(p: DggParams, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw n dGG variates as products of transformed standard-Gamma draws.
+
+    Each factor's g is drawn by `_standard_gamma`: an integer shape from 2
+    to _MAX_SUM_SHAPE as -log of a product of uniforms, any other shape by
+    numpy's standard_gamma. The draws depend only on the generator's
+    state. Releases before the uniform construction drew every factor
+    with rng.gamma, so their streams differ for integer shapes (the FP1
+    and FP2 presets) and match for all others.
 
     Computes (omega1/beta1 * g1)^(1/alpha1) * (omega2/beta2 * g2)^(1/alpha2)
     in the two draw buffers: each in-place step is the same operation on
@@ -110,8 +157,8 @@ def dgg_sample(p: DggParams, rng: np.random.Generator, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    x1 = rng.gamma(p.beta1, size=n)
-    x2 = rng.gamma(p.beta2, size=n)
+    x1 = _standard_gamma(rng, p.beta1, n)
+    x2 = _standard_gamma(rng, p.beta2, n)
     x1 *= p.omega1 / p.beta1
     x1 **= 1.0 / p.alpha1
     x2 *= p.omega2 / p.beta2

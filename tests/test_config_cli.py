@@ -512,6 +512,15 @@ def test_cli_invalid_config_is_error(tmp_path):
     assert main(["outage", "--config", cfg]) == EXIT_ERROR
 
 
+def test_scenario_file_not_utf8_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "scenario.cfg"
+    path.write_bytes(b"\xff\xfe" + MINIMAL.encode())
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_config(str(path))
+    assert main(["outage", "--config", str(path)]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: scenario file is not UTF-8")
+
+
 @pytest.mark.parametrize(
     "argv,text",
     [

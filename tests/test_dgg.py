@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as sp_quad
-from scipy.special import gammaln
+from scipy import stats
+from scipy.special import gammaln, polygamma, psi
 
 from rislink.config import preset_fading
 from rislink.dgg import (
@@ -26,6 +27,7 @@ from rislink.dgg import (
     product_mgf,
     product_pdf,
 )
+from rislink.dgg import _MAX_SUM_SHAPE, _standard_gamma
 
 FP1 = DggParams(2.0, 1.0, 2.0, 2.0, 1.5793, 0.9671)
 FP3 = DggParams(1.0, 1.5, 1.0, 2.5, 1.5793, 0.9671)
@@ -182,8 +184,8 @@ def test_pdf_nonnegative_property(a1, b1, a2, b2):
 
 def _dgg_formula(p, rng, n):
     """The dGG sampler written out of place, draw for draw."""
-    g1 = rng.gamma(p.beta1, size=n)
-    g2 = rng.gamma(p.beta2, size=n)
+    g1 = _standard_gamma(rng, p.beta1, n)
+    g2 = _standard_gamma(rng, p.beta2, n)
     return (p.omega1 / p.beta1 * g1) ** (1.0 / p.alpha1) * (p.omega2 / p.beta2 * g2) ** (1.0 / p.alpha2)
 
 
@@ -198,3 +200,22 @@ def test_in_place_sampling_matches_formula_bit_for_bit(preset):
     ref_rng = np.random.default_rng(6)
     expect = _dgg_formula(cascade.hop1, ref_rng, 10_001) * _dgg_formula(cascade.hop2, ref_rng, 10_001)
     assert np.array_equal(cascade_sample(cascade, np.random.default_rng(6), 10_001), expect)
+
+
+@pytest.mark.parametrize("k", range(2, _MAX_SUM_SHAPE + 1))
+def test_integer_shape_draws_follow_gamma_law(k):
+    # Gamma(k): mean k, variance k, fourth central moment 3k^2 + 6k,
+    # E[log g] = psi(k) with variance psi'(k).
+    n = 400_000
+    g = _standard_gamma(np.random.default_rng(21), float(k), n)
+    assert g.min() > 0
+    assert abs(g.mean() - k) <= 5 * math.sqrt(k / n)
+    assert abs(g.var() - k) <= 5 * math.sqrt((2 * k**2 + 6 * k) / n)
+    assert abs(np.log(g).mean() - psi(k)) <= 5 * math.sqrt(polygamma(1, k) / n)
+    assert stats.kstest(g, stats.gamma(k).cdf).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("shape", [1.0, 1.5, 2.1, _MAX_SUM_SHAPE + 1.0])
+def test_other_shapes_draw_numpy_gamma_bits(shape):
+    got = _standard_gamma(np.random.default_rng(22), shape, 10_001)
+    assert np.array_equal(got, np.random.default_rng(22).gamma(shape, size=10_001))

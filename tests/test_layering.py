@@ -1,4 +1,4 @@
-"""Module boundaries: no private imports across modules, one scenario-to-branch map, one anchor rule."""
+"""Module boundaries: no private imports across modules, one scenario-to-branch map, one anchor rule, one sampler."""
 import ast
 import pathlib
 
@@ -49,6 +49,29 @@ def test_contour_anchors_chosen_only_in_foxh():
         f"{path.name}:{node.lineno} {ast.unparse(node)}"
         for path in sorted(SRC.glob("*.py"))
         if path.name != "foxh.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if hits(node)
+    ]
+    assert not found, "\n".join(found)
+
+
+def test_random_draws_only_in_dgg():
+    # dgg draws every fading factor; a draw elsewhere would fork the sampler.
+    # math.gamma is the Gamma function, not a draw.
+    draws = {"gamma", "standard_gamma", "standard_exponential", "random"}
+
+    def hits(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in draws
+            and ast.unparse(node.func.value) != "math"
+        )
+
+    found = [
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "dgg.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if hits(node)
     ]
