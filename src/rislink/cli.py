@@ -27,7 +27,6 @@ from .config import (
     parse_methods,
     setting_problems,
 )
-from .exact_stats import combined_snr_stat
 from .foxh import (
     HALF_LENGTH,
     MAX_DIMS,
@@ -39,7 +38,7 @@ from .foxh import (
     dump_spec,
     eval_foxh,
 )
-from .metrics import ModulationParams, branch_ber, branch_diversity, branch_outage, outage_asymptotic
+from .metrics import ModulationParams, branch_asymptote, branch_ber, branch_diversity, branch_outage
 from .montecarlo import DegenerateEstimate, SimPlan, tally
 
 __all__ = ["CurveResult", "run_sweep", "emit_csv", "main"]
@@ -62,9 +61,7 @@ class CurveResult:
 _FILLS = {
     "outage": {
         "exact": lambda cfg, bud, mod, mc: branch_outage(*cfg.system.branches(cfg.scenario), bud, cfg.gamma_th),
-        "asymptotic": lambda cfg, bud, mod, mc: outage_asymptotic(
-            combined_snr_stat(cfg.system.ensemble(), bud), cfg.gamma_th
-        ),
+        "asymptotic": lambda cfg, bud, mod, mc: branch_asymptote(*cfg.system.branches(cfg.scenario), bud, cfg.gamma_th),
         "mc": lambda cfg, bud, mod, mc: mc.outage(),
     },
     "ber": {
@@ -85,16 +82,14 @@ def _effective_methods(config: ScenarioConfig, quantities, warnings: list[str]) 
     methods = list(config.methods)
     branches = config.system.branches(config.scenario)
     unavailable = {}
-    if "exact" in methods:
-        if branches is None:
-            unavailable["exact"] = f"exact evaluation has no route for scenario '{config.scenario}'"
-        else:
-            # one contour variable per element, one more for the direct link
-            nvars = len(branches[0]) + (branches[1] is not None)
-            if nvars > MAX_DIMS:
-                unavailable["exact"] = f"{nvars} contour variables exceed MAX_DIMS={MAX_DIMS}"
-    if "asymptotic" in methods and config.scenario != "combined":
-        unavailable["asymptotic"] = f"no asymptote for scenario '{config.scenario}', only for 'combined'"
+    if branches is None:
+        routes = {"exact": "exact evaluation has no route", "asymptotic": "no asymptote"}
+        unavailable.update((m, f"{routes[m]} for scenario '{config.scenario}'") for m in routes if m in methods)
+    elif "exact" in methods:
+        # one contour variable per element, one more for the direct link
+        nvars = len(branches[0]) + (branches[1] is not None)
+        if nvars > MAX_DIMS:
+            unavailable["exact"] = f"{nvars} contour variables exceed MAX_DIMS={MAX_DIMS}"
     for method in methods:
         if not any(method in _FILLS[q] for q in quantities):
             unavailable.setdefault(method, f"{method} gives no {' or '.join(quantities)} value")

@@ -92,6 +92,9 @@ def _element_terms(elements, nvars: int) -> list[GammaTerm]:
 # ---------------------------------------------------------------------------
 # SNR of any branch set: reflected, direct, or both combined
 
+# Most reflecting elements in one spec, which holds about 5 N^2 coefficients
+_MAX_ELEMENTS = 1000
+
 # Factors Gamma(offset - sum_i (alpha2_i/2) t_i)^sign, over every branch
 # variable, that turn the Mellin transform of the SNR into each functional.
 _FUNCTIONAL_TERMS = {
@@ -124,6 +127,8 @@ def snr_spec(
         raise ValueError("requires x > 0")
     n = len(elements)
     nvars = n + (direct is not None)
+    if n > _MAX_ELEMENTS:
+        raise ValueError(f"{n} elements exceed the spec cap of {_MAX_ELEMENTS}")
     a2 = tuple(c.hop1.alpha2 for c in elements)
     half = tuple(a / 2.0 for a in a2)
     terms = _element_terms(elements, nvars)

@@ -21,13 +21,18 @@ and is evaluated once per distinct argument, not once per lattice point.
 Each axis is truncated where Stirling's formula for every Gamma factor
 puts the integrand below the noise threshold along the axes and the two
 diagonals (Paris & Kaminski, Asymptotics and Mellin-Barnes Integrals).
+
+``leading_residue`` gives the small-argument asymptote: the residue at the
+pole tuple nearest the contour, for poles of any order (Kilbas & Saigo, ch. 1).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
+from scipy.special import gammaln, gammasgn, psi, zeta
 
 from .special import log_gamma
 
@@ -42,6 +47,7 @@ __all__ = [
     "validate_contour",
     "suggest_anchors",
     "eval_foxh",
+    "leading_residue",
     "dump_spec",
 ]
 
@@ -54,6 +60,9 @@ HALF_LENGTH = 40.0
 _MAX_REFINEMENTS = 4
 # lattice points of the cross table evaluated per chunk
 _CHUNK_ROWS = 200_000
+# relative gap below which poles are one multiple pole, and the largest leading-residue series lattice
+_TIE_REL = 1e-9
+_MAX_SERIES = 50_000
 
 
 class NoValidContour(ValueError):
@@ -485,6 +494,114 @@ def eval_foxh(spec: FoxHSpec, quad: QuadratureConfig = QuadratureConfig()):
         else:
             h /= 2.0
     raise NotConverged(float(delta), float(value.real))
+
+
+def _log_gamma_taylor(a: float, scale: float, degree: int) -> np.ndarray:
+    """Taylor coefficients 1..degree of log Gamma(a + scale*x): scale*psi(a), then (-scale)^j zeta(j, a)/j,
+    formed in log scale so that neither factor leaves the double range alone (a coefficient below it is 0)."""
+    j = np.arange(2, degree + 1)
+    z = zeta(j, a)
+    tail = np.sign(z) * np.sign(-scale) ** j * np.exp(np.log(np.abs(z)) + j * math.log(abs(scale))) / j
+    return np.r_[scale * psi(a), tail][:degree]
+
+
+def _exp_taylor(c: np.ndarray) -> np.ndarray:
+    """Taylor coefficients 0..len(c) of exp(sum_j c[j-1] x^j)."""
+    jc, e = np.arange(1, c.size + 1) * c, np.ones(c.size + 1)
+    for k in range(1, e.size):
+        e[k] = jc[:k] @ e[k - 1 :: -1] / k
+    return e
+
+
+def _power_taylor(a: np.ndarray, n: int) -> np.ndarray:
+    """k! [y^k] (1 + sum_j a[j-1] y^j)^n for k = 0..n*len(a), by J.C.P. Miller's recurrence."""
+    h = np.ones(n * a.size + 1)
+    for k in range(1, h.size):
+        terms = range(1, min(k, a.size) + 1)
+        h[k] = sum(((n + 1) * j - k) * a[j - 1] * math.prod(range(k - j + 1, k)) * h[k - j] for j in terms)
+    return h
+
+
+def _shift(x: np.ndarray, weights) -> np.ndarray:
+    """sum_c weights[c] * x[i + e_c] at every lattice point i, zero past the lattice."""
+    out = np.zeros_like(x)
+    for axis, w in enumerate(weights):
+        if w:
+            out[(slice(None),) * axis + (slice(None, -1),)] += w * x[(slice(None),) * axis + (slice(1, None),)]
+    return out
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a series leaving the double range is refused
+def leading_residue(spec: FoxHSpec) -> tuple[float, float]:
+    """(log |R|, sign of R), R the integrand's residue at the pole tuple nearest the contour
+    on its left: the leading term of the integral for small arguments.
+
+    A variable's pole is at t = -p, p the least offset/coefficient of its own
+    numerator factors with a positive coefficient, of order m when m tie.
+    Variables sharing class, own factors and argument form a group of n. With
+    u = t + p, r_j the Taylor coefficients of u^m * (own factors) * z^{-t} and
+    C_k those of the cross factors in the group sums of u,
+        R = sum_k C_k * prod_groups k! [x^k] (sum_{j<m} r_{m-1-j} x^j / j!)^n.
+    Cross factors' linear terms move into the r_j; the rest of each is summed
+    over the scaled lattice k_g <= n_g (m_g - 1) by shifts along its linear
+    form. ValueError: no pole on the left, a cross factor singular there, or a
+    lattice over _MAX_SERIES coefficients or outside the double range.
+    """
+    per_var, cross, classes = _split_terms(spec)
+    groups: dict[tuple, list[int]] = {}
+    for c, members in enumerate(classes):
+        for i in members:
+            own = sorted((t.offset, t.orientation * t.coeffs[i], t.sign) for t in per_var[i])
+            groups.setdefault((c, spec.args[i].real, tuple(own)), []).append(i)
+    poles = np.zeros(spec.num_vars)
+    for (_, _, own), members in groups.items():
+        poles[members] = min((off / c for off, c, s in own if s == 1 and c > 0), default=math.nan)
+    if np.isnan(poles).any():
+        raise ValueError(f"variable {np.isnan(poles).argmax()} has no pole left of the contour")
+    cross_args = [t.offset - t.effective_coeffs() @ poles for t in cross]
+    if any(a <= 0 and a == round(a) for a in cross_args):
+        raise ValueError("a cross factor is singular at the leading poles")
+    log_abs = sum(t.sign * gammaln(a) for t, a in zip(cross, cross_args))
+    sign = math.prod(gammasgn(a) for a in cross_args)
+    weights, series = [], []
+    for (_, z, own), members in groups.items():
+        i, n, p = members[0], len(members), poles[members[0]]
+        tied = [s == 1 and c > 0 and math.isclose(off / c, p, rel_tol=_TIE_REL, abs_tol=_TIE_REL) for off, c, s in own]
+        # u^m * z^{-t} * own factors, where u * Gamma(c*u) = Gamma(1 + c*u) / c
+        const, coef = p * math.log(z), np.zeros(sum(tied) - 1)
+        coef[:1] = sum(t.sign * psi(a) * t.effective_coeffs()[i] for t, a in zip(cross, cross_args)) - math.log(z)
+        for (off, c, s), is_tied in zip(own, tied):
+            a = 1.0 if is_tied else off - c * p
+            const += s * gammaln(a) - (math.log(c) if is_tied else 0.0)
+            sign *= gammasgn(a) ** n
+            coef += s * _log_gamma_taylor(a, c, coef.size)
+        e = _exp_taylor(coef)  # r_j / r_0
+        log_abs += n * (const + math.log(abs(e[-1])))
+        sign *= math.copysign(1.0, e[-1]) ** n
+        # the group's polynomial over r_{m-1}, at x = y / S with S = n * max_j |d_j|^(1/j)
+        j = np.arange(1, e.size)
+        d = e[-2::-1] / (e[-1] * np.cumprod(j))
+        scale = n * max(np.abs(d) ** (1.0 / j), default=0.0) or 1.0
+        weights.append((i, scale))
+        series.append(_power_taylor(d / scale**j, n))
+    size = math.prod(q.size for q in series)
+    if size > _MAX_SERIES:
+        raise ValueError(f"leading-residue series of {size} coefficients exceeds {_MAX_SERIES}")
+    lattice = reduce(np.multiply.outer, series)
+    for t, a in zip(cross, cross_args):
+        v = np.array([t.effective_coeffs()[i] * s * (q.size > 1) for (i, s), q in zip(weights, series)])
+        nu = float(np.abs(v).sum())
+        if nu:
+            coef = t.sign * _log_gamma_taylor(a, nu, sum(q.size - 1 for q, w in zip(series, v) if w))
+            g = _exp_taylor(np.r_[0.0, coef[1:]])
+            acc = g[-1] * lattice
+            for g_k in g[-2::-1]:
+                acc = g_k * lattice + _shift(acc, v / nu)
+            lattice = acc
+    total = float(lattice.flat[0])
+    if not (math.isfinite(log_abs) and math.isfinite(total) and total):
+        raise ValueError(f"leading-residue series leaves the double range (log {log_abs}, sum {total})")
+    return float(log_abs + math.log(abs(total))), float(sign * math.copysign(1.0, total))
 
 
 def dump_spec(spec: FoxHSpec, fh) -> None:

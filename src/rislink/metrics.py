@@ -2,21 +2,21 @@
 
 Exact quantities evaluate the multivariate contour integrals of
 ``exact_stats`` for any branch set: the combined link, the reflected
-branch alone, or the direct link alone. The high-SNR asymptote of the
-combined link is the sum of residues at the integrand poles nearest the
-contour, which reduces to a finite product of Gamma functions and power
-laws in gamma_th / gamma_0.
+branch alone, or the direct link alone. The high-SNR outage asymptote of
+any branch set is the residue of that same CDF integral at its poles
+nearest the contour (``foxh.leading_residue``): a power law in
+gamma_th / gamma_0, with logarithmic corrections where poles coincide.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .channel import LinkBudget
-from .dgg import CascadeParams, DggParams, cascade_coeffs, cascade_shapes, dgg_psi_phi
+from .dgg import CascadeParams, DggParams, cascade_shapes
 from .exact_stats import CombinedSnrStat, RisEnsemble, snr_functional, snr_spec
-from .foxh import QuadratureConfig
+from .foxh import QuadratureConfig, leading_residue
 
 __all__ = [
     "ModulationParams",
@@ -24,6 +24,7 @@ __all__ = [
     "branch_outage",
     "branch_ber",
     "branch_diversity",
+    "branch_asymptote",
     "outage_exact",
     "outage_asymptotic",
     "ber_exact",
@@ -106,145 +107,26 @@ def ber_exact(
 # ---------------------------------------------------------------------------
 # high-SNR asymptote by residues
 
-_TIE_REL = 1e-9
-_SPLIT_EPS = 1e-5
 
-
-def _perturb(betas: list[float]) -> list[float]:
-    """Split exactly coincident poles so each residue is simple.
-
-    The per-index offsets are deterministic; tied contributions are summed
-    afterwards, which converges to the multiple-pole (logarithmic) limit
-    as the offsets shrink.
-    """
-    return [b * (1.0 + _SPLIT_EPS * (j + 1)) for j, b in enumerate(betas)]
-
-
-def _element_residues(c: CascadeParams, log_z: float) -> list[tuple[float, float]]:
-    """Near-minimal simple poles of one element's contour variable.
-
-    Returns (sigma, residue) pairs: the integrand behaves like
-    residue * z^{sigma} from the pole at t = -sigma. Ties of the minimal
-    exponent alpha*beta are epsilon-split and all retained.
-    """
-    shapes = cascade_shapes(c)
-    a2 = c.hop1.alpha2
-    alphas = [s[0] for s in shapes]
-    betas = _perturb([s[1] for s in shapes])
-    products = [al * be for al, be in zip(alphas, betas)]
-    p_min = min(s[0] * s[1] for s in shapes)
-    out = []
-    for j in range(4):
-        if shapes[j][0] * shapes[j][1] > p_min * (1.0 + _TIE_REL):
-            continue
-        sigma = products[j] / a2
-        r = alphas[j] / a2 * math.exp(sigma * log_z) * math.gamma(a2 * sigma)
-        for l in range(4):
-            if l != j:
-                r *= math.gamma(betas[l] - products[j] / alphas[l])
-        out.append((sigma, r))
-    return out
-
-
-def _direct_residues(d: DggParams, log_z: float) -> list[tuple[float, float]]:
-    """Same as _element_residues for the direct-link contour variable."""
-    a_d2 = d.alpha2
-    alphas = [d.alpha1, d.alpha2]
-    betas = _perturb([d.beta1, d.beta2])
-    coeffs = [a_d2 / d.alpha1, 1.0]  # Gamma(beta + coeff * t) factors
-    products = [al * be for al, be in zip(alphas, betas)]
-    p_min = min(d.alpha1 * d.beta1, d.alpha2 * d.beta2)
-    out = []
-    for j in range(2):
-        if alphas[j] * [d.beta1, d.beta2][j] > p_min * (1.0 + _TIE_REL):
-            continue
-        sigma = products[j] / a_d2
-        l = 1 - j
-        r = (
-            math.exp(sigma * log_z)
-            / coeffs[j]
-            * math.gamma(betas[l] - coeffs[l] * sigma)
-            * math.gamma(a_d2 * sigma / 2.0)  # from Gamma(-(alpha_d2/2) t)
-        )
-        out.append((sigma, r))
-    return out
+def branch_asymptote(
+    elements: tuple[CascadeParams, ...], direct: DggParams | None, budget: LinkBudget, gamma_th: float
+) -> float:
+    """High-SNR P(SNR <= gamma_th) of a branch set: the leading residue of its exact CDF integral,
+    in log scale, so that a value below the double range is refused as such rather than read as 0."""
+    logc, spec = snr_spec(elements, direct, budget, "cdf", gamma_th)
+    log_abs, sign = leading_residue(spec)
+    log10 = (logc + log_abs) / math.log(10.0)
+    shown = f"{math.copysign(10.0 ** (log10 % 1.0), sign):.4g}e{math.floor(log10):+d}"
+    if sign < 0 or log10 > 0.0:
+        raise RuntimeError(f"asymptotic outage {shown} outside (0, 1]; power too low for the asymptote")
+    if log10 < math.log10(sys.float_info.min):
+        raise RuntimeError(f"asymptotic outage {shown} is below the double range")
+    return math.exp(logc + log_abs)
 
 
 def outage_asymptotic(stat: CombinedSnrStat, gamma_th: float) -> float:
-    """High-SNR outage: dominant residues of the exact CDF contour integral.
-
-    Each contour variable contributes its nearest pole(s); the coupling
-    Gamma factors are evaluated at the chosen pole tuple, so tied poles
-    (which merge into higher-order poles with log corrections) are handled
-    by epsilon-splitting and summing every near-minimal tuple. Identical
-    elements are grouped so the tuple sum is polynomial in N.
-    """
-    if gamma_th <= 0:
-        raise ValueError("requires gamma_th > 0")
-    ens, bud = stat.ensemble, stat.budget
-
-    groups: list[tuple[CascadeParams, int]] = []
-    for c in ens.elements:
-        if groups and groups[-1][0] == c:
-            groups[-1] = (c, groups[-1][1] + 1)
-        else:
-            groups.append((c, 1))
-
-    group_residues = []
-    for c, count in groups:
-        _, B = cascade_coeffs(c)
-        log_z = (c.hop1.alpha2 / 2.0) * math.log(gamma_th / bud.gamma0_ris) - math.log(B)
-        group_residues.append((c, count, _element_residues(c, log_z)))
-
-    _, phi_d = dgg_psi_phi(ens.direct)
-    log_zd = math.log(phi_d) + (ens.direct.alpha2 / 2.0) * math.log(gamma_th / bud.gamma0_d)
-    direct_res = _direct_residues(ens.direct, log_zd)
-
-    # Sum over one multiset of pole choices per element group x direct choice.
-    # Epsilon-split residues alternate in sign and largely cancel; the
-    # leading power law plus its logarithmic correction survive.
-    def group_terms(c, count, residues):
-        a2 = c.hop1.alpha2
-        for combo in combinations_with_replacement(range(len(residues)), count):
-            sigma_half = 0.0
-            weight = float(_multiset_permutations(combo, count))
-            for j in combo:
-                sigma, r = residues[j]
-                sigma_half += a2 * sigma / 2.0
-                weight *= r
-            yield sigma_half, weight
-
-    partials = [(0.0, 1.0)]
-    for c, count, residues in group_residues:
-        partials = [
-            (s0 + s1, w0 * w1)
-            for s0, w0 in partials
-            for s1, w1 in group_terms(c, count, residues)
-        ]
-
-    total = 0.0
-    for sigma_half_ris, weight in partials:
-        for sigma_d, r_d in direct_res:
-            half_d = ens.direct.alpha2 * sigma_d / 2.0
-            cross = math.gamma(sigma_half_ris) / (
-                math.gamma(2.0 * sigma_half_ris) * math.gamma(1.0 + sigma_half_ris + half_d)
-            )
-            total += weight * r_d * cross
-    logc, _ = snr_spec(ens.elements, ens.direct, bud, "cdf", gamma_th)
-    outage = math.exp(logc) * total
-    if not 0.0 < outage <= 1.0:
-        raise RuntimeError(f"asymptotic outage {outage} outside (0, 1]; power too low for the asymptote")
-    return outage
-
-
-def _multiset_permutations(combo, count: int) -> int:
-    reps = {}
-    for j in combo:
-        reps[j] = reps.get(j, 0) + 1
-    out = math.factorial(count)
-    for r in reps.values():
-        out //= math.factorial(r)
-    return out
+    """High-SNR outage of the combined link."""
+    return branch_asymptote(stat.ensemble.elements, stat.ensemble.direct, stat.budget, gamma_th)
 
 
 def branch_diversity(elements: tuple[CascadeParams, ...], direct: DggParams | None) -> DiversityReport:

@@ -4,6 +4,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import pytest
@@ -331,12 +332,47 @@ def test_df_relay_exact_falls_back_to_mc():
     assert "df_relay" in result.warnings[0] and "Monte-Carlo" in result.warnings[0]
 
 
-@pytest.mark.parametrize("scenario", ["ris_only", "dt_only", "df_relay"])
+@pytest.mark.parametrize("scenario", ["df_relay"])
 def test_asymptote_dropped_outside_combined(scenario):
     result = run_sweep(scenario_cfg(scenario, methods="asymptotic"), "outage")
     assert result.columns == ("pt_dbm", "outage_mc", "outage_mc_se")
     assert len(result.warnings) == 1
     assert "asymptote" in result.warnings[0]
+
+
+@pytest.mark.parametrize("scenario", ["ris_only", "dt_only"])
+def test_asymptote_written_for_single_branch(scenario):
+    # the residue of the branch's own CDF integral, beside its exact value
+    pt = {"ris_only": 160.0, "dt_only": 120.0}[scenario]
+    result = run_sweep(scenario_cfg(scenario, n=2, pt=pt, methods="exact,asymptotic"), "outage")
+    assert not result.warnings
+    assert result.columns == ("pt_dbm", "outage_exact", "outage_asymptotic")
+    _, exact, asymptote = result.rows[0]
+    assert asymptote == pytest.approx(exact, rel=1e-2)
+
+
+@pytest.mark.parametrize("n", [200, 10_000])
+def test_asymptote_at_large_n_gives_value_or_warning(n):
+    start = time.perf_counter()
+    result = run_sweep(scenario_cfg("combined", n=n, pt="100 160", methods="asymptotic"), "outage")
+    assert time.perf_counter() - start < 10.0
+    assert result.columns == ("pt_dbm", "outage_asymptotic")
+    for pt, value in result.rows:
+        warned = [w for w in result.warnings if w.startswith(f"outage_asymptotic failed at pt={pt:g} dBm")]
+        assert (value is None) == bool(warned)
+    # N = 200 is evaluated and underflows; N = 10,000 exceeds the spec cap
+    expected = "below the double range" if n == 200 else "spec cap"
+    assert len(result.warnings) == 2 and all(expected in w for w in result.warnings)
+
+
+def test_asymptote_series_cap_is_a_warning():
+    # twenty distinct alpha2 values are twenty tied classes: a 2^20 series lattice
+    cfg = scenario_cfg("combined", pt="160", methods="asymptotic")
+    cascade = cfg.system.elements[0]
+    elements = tuple(replace(cascade, hop1=replace(cascade.hop1, alpha2=2.0 + 0.01 * i)) for i in range(20))
+    result = run_sweep(replace(cfg, system=replace(cfg.system, elements=elements)), "outage")
+    assert result.rows == ((160.0, None),)
+    assert len(result.warnings) == 1 and "exceeds" in result.warnings[0]
 
 
 def test_ris_only_out_of_range_exact_outage_left_empty():

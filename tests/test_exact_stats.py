@@ -264,3 +264,10 @@ def test_heterogeneous_n2_outage_frozen():
     ens = RisEnsemble((CascadeParams(h1, h1), CascadeParams(h2, h2)), DggParams(1.5, 1.5, 1, 1.5, 1, 1))
     stat = combined_snr_stat(ens, LinkBudget(gamma0_ris=3, gamma0_d=2))
     assert outage_exact(stat, 1.0) == pytest.approx(0.10702147639621941, rel=1e-8)
+
+
+def test_snr_spec_refuses_more_variables_than_its_cap():
+    # a spec holds about 5 N^2 coefficients; it is refused before any factor is built
+    cascade, direct = preset_fading("FP1")
+    with pytest.raises(ValueError, match="spec cap"):
+        snr_spec((cascade,) * 1001, direct, budget(default_geometry(), 20.0), "cdf", 1.0)

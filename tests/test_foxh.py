@@ -22,6 +22,7 @@ from rislink.foxh import (
     QuadratureConfig,
     dump_spec,
     eval_foxh,
+    leading_residue,
     suggest_anchors,
     validate_contour,
 )
@@ -415,6 +416,53 @@ def test_more_than_max_dims_rejected_before_evaluation(monkeypatch):
     monkeypatch.setattr(foxh, "log_gamma", no_evaluation)
     with pytest.raises(ValueError, match=f"at most {MAX_DIMS}"):
         eval_foxh(spec)
+
+
+def residue(spec):
+    log_abs, sign = leading_residue(spec)
+    return sign * math.exp(log_abs)
+
+
+def test_leading_residue_of_the_reduction_corpus():
+    z = 1e-3
+    assert residue(exp_spec(z)) == pytest.approx(1.0, rel=1e-14)
+    assert residue(binomial_spec(z, 1.7)) == pytest.approx(1.0, rel=1e-14)
+    # simple pole at t = nu/2, then the double pole of nu = 0: 2 K_0(2 sqrt(z)) ~ -log z - 2 gamma_E
+    assert residue(bessel_spec(z, 1.5)) == pytest.approx(math.gamma(1.5) * z**-0.75, rel=1e-14)
+    assert residue(bessel_spec(z, 0.0)) == pytest.approx(-math.log(z) - 2.0 * np.euler_gamma, rel=1e-14)
+
+
+def test_leading_residue_of_a_triple_pole():
+    # [u^2] Gamma(1+u)^3 z^-u = ((3 psi(1) - log z)^2 + 3 psi'(1)) / 2
+    z = 1e-4
+    spec = FoxHSpec(args=(z,), terms=(GammaTerm(0.0, (1.0,)),) * 3)
+    lam = -3.0 * np.euler_gamma - math.log(z)
+    assert residue(spec) == pytest.approx((lam**2 + 3.0 * math.pi**2 / 6.0) / 2.0, rel=1e-13)
+
+
+def double_pole_pair(z1, z2):
+    """Two variables with a double pole each at 0, coupled by a numerator and a denominator factor."""
+    return FoxHSpec(
+        args=(z1, z2),
+        terms=(GammaTerm(0.0, (1.0, 0.0)),) * 2
+        + (GammaTerm(0.0, (0.0, 1.0)),) * 2
+        + (GammaTerm(2.0, (1.0, 1.0)), GammaTerm(3.0, (2.0, 2.0), sign=-1)),
+    )
+
+
+def test_leading_residue_of_a_class_matches_quadrature_and_split_class():
+    # one class of two members, or two singleton classes when the arguments differ by 1e-12
+    z = 1e-7
+    value = residue(double_pole_pair(z, z))
+    assert residue(double_pole_pair(z, z * (1.0 + 1e-12))) == pytest.approx(value, rel=1e-9)
+    exact, _ = eval_foxh(double_pole_pair(z, z), QuadratureConfig(step=0.04, rel_tol=1e-10))
+    assert value == pytest.approx(exact, rel=1e-5)
+
+
+def test_leading_residue_needs_a_pole_on_the_left():
+    spec = FoxHSpec(args=(0.5,), terms=(GammaTerm(1.0, (1.0,), orientation=-1),))
+    with pytest.raises(ValueError, match="no pole"):
+        leading_residue(spec)
 
 
 def test_dump_spec_mentions_every_term(tmp_path):

@@ -76,3 +76,21 @@ def test_random_draws_only_in_dgg():
         if hits(node)
     ]
     assert not found, "\n".join(found)
+
+
+def test_gamma_functions_only_in_foxh_special_dgg():
+    # foxh evaluates the integrand's Gamma factors, special and dgg the closed forms around them;
+    # a Gamma call elsewhere would write a factor layout a second time.
+    names = {"gamma", "lgamma", "gammaln", "loggamma", "log_gamma", "digamma", "psi", "polygamma"}
+
+    def hits(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
+
+    found = [
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in ("foxh.py", "special.py", "dgg.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if hits(node)
+    ]
+    assert not found, "\n".join(found)

@@ -1,5 +1,7 @@
 """Outage/BER metrics: BER closed form, high-SNR asymptote, diversity."""
 import math
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +11,11 @@ from rislink.channel import budget
 from rislink.config import default_geometry, preset_fading
 from rislink.dgg import cascade_sample, dgg_sample
 from rislink.exact_stats import RisEnsemble, combined_snr_stat, gamma_cdf
+from rislink.foxh import QuadratureConfig
 from rislink.metrics import (
     ModulationParams,
     ber_exact,
+    branch_asymptote,
     branch_ber,
     branch_outage,
     diversity,
@@ -119,6 +123,74 @@ def test_asymptote_two_elements_positive_and_below_exact_scale():
 def test_asymptote_validation():
     with pytest.raises(ValueError):
         outage_asymptotic(make_stat(1), 0.0)
+
+
+TIGHT = QuadratureConfig(step=0.04, rel_tol=1e-9)
+
+
+def cascades(*names):
+    return tuple(preset_fading(name)[0] for name in names)
+
+
+def direct(name):
+    return preset_fading(name)[1]
+
+
+DEFAULT = QuadratureConfig()
+# (elements, direct, pt_dbm, bound on |asymptote/exact - 1|, quadrature of the exact value)
+ASYMPTOTE_CASES = {
+    "combined-FP1-N1": (cascades("FP1"), direct("FP1"), 160.0, 0.003, DEFAULT),
+    "combined-FP1-N2": (cascades("FP1", "FP1"), direct("FP1"), 160.0, 0.003, DEFAULT),
+    "combined-FP2-N1": (cascades("FP2"), direct("FP2"), 160.0, 0.003, DEFAULT),
+    "combined-FP2-N2": (cascades("FP2", "FP2"), direct("FP2"), 160.0, 0.003, DEFAULT),
+    "combined-FP1+FP2-over-FP1": (cascades("FP1", "FP2"), direct("FP1"), 160.0, 0.003, DEFAULT),
+    "combined-FP3-N1": (cascades("FP3"), direct("FP3"), 150.0, 0.02, TIGHT),
+    **{
+        f"ris_only-{name}-N{n}": (cascades(*[name] * n), None, 160.0, 0.01, DEFAULT)
+        for name in ("FP1", "FP2", "FP3")
+        for n in (1, 2, 3)
+    },
+    **{f"dt_only-{name}": ((), direct(name), 120.0, 0.001, DEFAULT) for name in ("FP1", "FP2", "FP3")},
+}
+
+
+@pytest.mark.parametrize("case", ASYMPTOTE_CASES)
+def test_asymptote_over_exact_at_high_power(case):
+    elements, direct, pt, bound, quad = ASYMPTOTE_CASES[case]
+    bud = budget(GEOM, pt)
+    ratio = branch_asymptote(elements, direct, bud, 1.0) / branch_outage(elements, direct, bud, 1.0, quad)
+    assert abs(ratio - 1.0) <= bound
+
+
+def split_first(elements):
+    """The elements with the first one's omega1 scaled by 1 + 1e-12: a class of its own."""
+    hop = replace(elements[0].hop1, omega1=elements[0].hop1.omega1 * (1.0 + 1e-12))
+    return (replace(elements[0], hop1=hop),) + elements[1:]
+
+
+@pytest.mark.parametrize("n", [2, 3, 10])
+def test_asymptote_class_path_equals_singleton_path(n):
+    bud = budget(GEOM, 150.0)
+    grouped = branch_asymptote((CASCADE,) * n, DIRECT, bud, 1.0)
+    assert branch_asymptote(split_first((CASCADE,) * n), DIRECT, bud, 1.0) == pytest.approx(grouped, rel=1e-6)
+
+
+def test_asymptote_n10_is_the_double_pole_residue_in_any_order():
+    # the epsilon-split residues of earlier releases read 7.65e-10 here
+    bud = budget(GEOM, 100.0)
+    assert branch_asymptote((CASCADE,) * 10, DIRECT, bud, 1.0) == pytest.approx(2.847e-36, rel=1e-3)
+    mixed = cascades("FP1", "FP2") * 5
+    grouped = cascades(*["FP1"] * 5 + ["FP2"] * 5)
+    assert branch_asymptote(mixed, DIRECT, bud, 1.0) == pytest.approx(
+        branch_asymptote(grouped, DIRECT, bud, 1.0), rel=1e-12
+    )
+
+
+def test_asymptote_alternating_ensemble_is_two_classes():
+    start = time.perf_counter()
+    value = branch_asymptote(cascades("FP2", "FP1") * 25, DIRECT, budget(GEOM, 60.0), 1.0)
+    assert time.perf_counter() - start < 1.0
+    assert 0.0 < value <= 1.0
 
 
 # ---------------------------------------------------------------------------
