@@ -32,14 +32,13 @@ from .foxh import (
     MAX_DIMS,
     FoxHSpec,
     GammaTerm,
-    NoValidContour,
     NotConverged,
     QuadratureConfig,
     dump_spec,
     eval_foxh,
 )
 from .metrics import ModulationParams, branch_asymptote, branch_ber, branch_diversity, branch_outage
-from .montecarlo import DegenerateEstimate, SimPlan, tally
+from .montecarlo import SimPlan, tally
 
 __all__ = ["CurveResult", "run_sweep", "emit_csv", "main"]
 
@@ -78,7 +77,8 @@ def _columns(quantity: str, method: str) -> tuple[str, ...]:
 
 
 def _effective_methods(config: ScenarioConfig, quantities, warnings: list[str]) -> tuple[str, ...]:
-    """The requested methods that can evaluate the scenario; Monte-Carlo stands in for the rest."""
+    """The requested methods that can evaluate the scenario; Monte-Carlo stands in for the rest,
+    and fills any quantity that none of them gives."""
     methods = list(config.methods)
     branches = config.system.branches(config.scenario)
     unavailable = {}
@@ -97,6 +97,10 @@ def _effective_methods(config: ScenarioConfig, quantities, warnings: list[str]) 
         warnings.append(f"{reason}; {method} falls back to Monte-Carlo")
         methods.remove(method)
     if unavailable and "mc" not in methods:
+        methods.append("mc")
+    missing = [q for q in quantities if not any(m in _FILLS[q] for m in methods)]
+    if missing:
+        warnings.append(f"no requested method gives a {' or '.join(missing)} value; Monte-Carlo fills it")
         methods.append("mc")
     return tuple(methods)
 
@@ -139,7 +143,7 @@ def run_sweep(config: ScenarioConfig, quantity: str = "outage") -> CurveResult:
             try:
                 value = _FILLS[q][m](config, bud, mod, mc)
                 cells.update(zip(names, (value.mean, value.std_error) if m == "mc" else (value,)))
-            except (NotConverged, NoValidContour, DegenerateEstimate, RuntimeError, ValueError) as e:
+            except (RuntimeError, ValueError) as e:
                 warnings.append(f"{names[0]} failed at pt={pt:g} dBm: {e}")
         rows.append(tuple(cells.get(c) for c in columns))
 

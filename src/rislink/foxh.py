@@ -13,10 +13,11 @@ Gamma factors whose argument involves a single contour variable are
 evaluated once per 1-D axis. Variables whose coefficients agree in every
 cross-variable factor form a class: on the shared-step grid those factors
 see only the sum of the class's grid indices, so the class's axis weights
-are convolved onto one lattice. Every class lattice shares the step, so
-a cross factor whose class coefficients are integer multiples p_c of
-the smallest one sees only d = sum_c p_c * m_c of the class indices m_c,
-and is evaluated once per distinct argument, not once per lattice point.
+are convolved onto one lattice. Every class lattice is an arithmetic
+sequence with the shared step, so a cross factor whose class coefficients
+are integer multiples p_c of the smallest one has an argument affine in
+d = sum_c p_c * m_c of the class indices m_c: it is evaluated once per
+value of d on a line, not once per lattice point.
 
 Each axis is truncated where Stirling's formula for every Gamma factor
 puts the integrand below the noise threshold along the axes and the two
@@ -284,75 +285,42 @@ def _class_weights(members, axis_logs, axes_y, T):
     return level, (signed, inner, absolute)
 
 
-def _step_vector(col, sizes) -> tuple[int, ...]:
-    """Integer key coefficients p for a factor with class coefficients ``col``.
-
-    On a shared-step grid the factor depends on the class indices m_c
-    only through d = sum_c p_c * m_c when every coefficient is an integer
-    multiple p_c of the smallest one. If they are not, or that gives no
-    fewer distinct d than lattice points, p holds the strides of the flat
-    lattice index, so every point is its own key. Classes the factor skips
-    get p_c = 0.
-    """
-    active = [c for c, e in enumerate(col) if e]
-    base = min((col[c] for c in active), key=abs, default=1.0)
-    step = [round(e / base) for e in col]
-    exact = all(math.isclose(p_c, e / base, rel_tol=1e-13) for p_c, e in zip(step, col))
-    keys = sum(abs(p_c) * (k - 1) for p_c, k in zip(step, sizes)) + 1
-    if exact and keys < math.prod(sizes[c] for c in active):
-        return tuple(step)
-    return tuple(math.prod(sizes[c] for c in active if c > a) if a in active else 0 for a in range(len(col)))
-
-
-def _key_table(p, sizes):
-    """Key table of step vector p on the lattice of class sizes ``sizes``.
-
-    Returns the keys sum_c p_c * m_c, shifted to start at 0 and shaped
-    like the lattice of the classes with p_c != 0, and per class the
-    indices m_c of one lattice point for each key. Keys that no lattice
-    point reaches point at the origin, a valid point that no gather reads:
-    p = (1, 3, 6) over a one-row chunk reaches only multiples of 3.
-    """
-    key = np.zeros((1,) * len(sizes), dtype=np.intp)
-    for c, (p_c, k) in enumerate(zip(p, sizes)):
-        if p_c:
-            shape = [1] * len(sizes)
-            shape[c] = k
-            m = p_c * np.arange(k)
-            key = key + (m - m.min()).reshape(shape)
-    point = np.zeros(sum(abs(p_c) * (k - 1) for p_c, k in zip(p, sizes)) + 1, dtype=np.intp)
-    point[key.ravel()] = np.arange(key.size)
-    return key, np.unravel_index(point, key.shape)
-
-
-def _cross_log(terms, classes, anchors, coords):
+def _cross_log(terms, classes, anchors, coords, h):
     """Sum of the factors' sign * log Gamma on the outer grid of the class lattices.
 
-    coords[c] holds the y-sums of class c, all on one step. Each factor is
-    evaluated once per distinct argument: one lattice point per key of its
-    step vector (see ``_step_vector``) gives a 1-D line of arguments, log
-    Gamma runs on the line, and the key table gathers the result onto the
-    lattice of the classes the factor involves (broadcast along the
-    others). Key tables are built once per step vector and shared by the
-    factors that use it. A single-class factor's key is its class index,
-    so its line is the class lattice itself.
+    coords[c] holds the y-sums of class c, an arithmetic sequence of step h
+    from y0[c]. A factor whose class coefficients are integer multiples p_c
+    of the smallest one, b, sees the class indices m_c only through
+    d = sum_c p_c * m_c: its argument is offset + c.anchors + i*(c.y0 + b*h*d).
+    When d takes fewer values than the lattice of the classes it involves has
+    points, log Gamma runs once on that line and the broadcast key d gathers
+    it onto the lattice. Any other factor (ratios that are not integers, a
+    line no shorter than the lattice, a constant) is evaluated on the
+    broadcast lattice sum_c c_c * coords_c.
     """
     col_of = [members[0] for members in classes]
-    sizes = [c.size for c in coords]
-    tables = {}
+    sizes = [x.size for x in coords]
+    shapes = [[-1 if a == c else 1 for a in range(len(coords))] for c in range(len(coords))]
+    y0 = np.array([x[0] for x in coords])
     acc = 0.0
     for term in terms:
         eff = term.effective_coeffs()
-        p = _step_vector(eff[col_of], sizes)
-        if p not in tables:
-            tables[p] = _key_table(p, sizes)
-        key, point = tables[p]
-        imag = np.zeros(point[0].size)
-        for c, p_c in enumerate(p):
-            if p_c:
-                imag += eff[col_of[c]] * coords[c][point[c]]
-        line = term.sign * log_gamma(term.offset + eff @ anchors + 1j * imag)
-        acc = acc + line[key]
+        col = eff[col_of]
+        active = np.flatnonzero(col)
+        base = min(col[active], key=abs, default=1.0)
+        p = [round(e / base) for e in col]
+        exact = all(math.isclose(p_c, e / base, rel_tol=1e-13) for p_c, e in zip(p, col))
+        span = sum(abs(p_c) * (k - 1) for p_c, k in zip(p, sizes)) + 1
+        real = term.offset + eff @ anchors
+        if exact and span < math.prod(sizes[c] for c in active):
+            steps = [p_c * np.arange(k) for p_c, k in zip(p, sizes)]
+            low = sum(s.min() for s in steps)
+            key = sum((s - s.min()).reshape(shape) for p_c, s, shape in zip(p, steps, shapes) if p_c)
+            line = term.sign * log_gamma(real + 1j * (col @ y0 + base * h * np.arange(low, low + span)))
+            acc = acc + line[key]
+        else:
+            imag = sum(e * x.reshape(shape) for e, x, shape in zip(col, coords, shapes) if e)
+            acc = acc + term.sign * log_gamma(real + 1j * imag)
     return acc
 
 
@@ -370,10 +338,10 @@ def _tensor_pass(spec: FoxHSpec, cross, classes, axis_logs, axes_y, h, T):
     coefficients, and every axis shares the step h, so each cross factor
     depends on a class's members only through the integer sum of their
     grid indices. The per-axis weights are convolved within each class,
-    each cross factor is evaluated once per distinct argument on the
-    lattice of the classes it involves (``_cross_log``), and the table is
-    contracted against the class weights. With singleton classes this is
-    the plain tensor sum.
+    each cross factor is evaluated on the line of its step or at every point
+    of the lattice of the classes it involves (``_cross_log``), and the
+    table is contracted against the class weights. With singleton classes
+    this is the plain tensor sum.
 
     Returns raw sums of exp(log integrand - ref) over the full grid, the
     outer band (any |y_i| > T_i - 1, kept *signed* so the oscillatory
@@ -398,7 +366,7 @@ def _tensor_pass(spec: FoxHSpec, cross, classes, axis_logs, axes_y, h, T):
     for start in range(0, lattices[0].size, rows):
         rs = slice(start, start + rows)
         coords = [lattices[0][rs]] + lattices[1:]
-        logx = _cross_log(cross, classes, anchors, coords)
+        logx = _cross_log(cross, classes, anchors, coords, h)
         levels.append(float(np.max(np.real(logx))))
         x = np.broadcast_to(np.exp(logx - levels[-1]), (coords[0].size,) + rest)
         sums.append((
@@ -536,8 +504,9 @@ def leading_residue(spec: FoxHSpec) -> tuple[float, float]:
     """(log |R|, sign of R), R the integrand's residue at the pole tuple nearest the contour
     on its left: the leading term of the integral for small arguments.
 
-    A variable's pole is at t = -p, p the least offset/coefficient of its own
-    numerator factors with a positive coefficient, of order m when m tie.
+    A variable's pole is at t = -p, the lower end of its feasible interval
+    under its own numerator factors: p is their least offset/coefficient
+    with a positive coefficient, and the pole is of order m when m tie.
     Variables sharing class, own factors and argument form a group of n. With
     u = t + p, r_j the Taylor coefficients of u^m * (own factors) * z^{-t} and
     C_k those of the cross factors in the group sums of u,
@@ -553,11 +522,9 @@ def leading_residue(spec: FoxHSpec) -> tuple[float, float]:
         for i in members:
             own = sorted((t.offset, t.orientation * t.coeffs[i], t.sign) for t in per_var[i])
             groups.setdefault((c, spec.args[i].real, tuple(own)), []).append(i)
-    poles = np.zeros(spec.num_vars)
-    for (_, _, own), members in groups.items():
-        poles[members] = min((off / c for off, c, s in own if s == 1 and c > 0), default=math.nan)
-    if np.isnan(poles).any():
-        raise ValueError(f"variable {np.isnan(poles).argmax()} has no pole left of the contour")
+    poles = -np.array([lo for lo, _ in _feasible_intervals(spec.terms, np.zeros(spec.num_vars), cross=False)])
+    if np.isinf(poles).any():
+        raise ValueError(f"variable {np.isinf(poles).argmax()} has no pole left of the contour")
     cross_args = [t.offset - t.effective_coeffs() @ poles for t in cross]
     if any(a <= 0 and a == round(a) for a in cross_args):
         raise ValueError("a cross factor is singular at the leading poles")

@@ -632,6 +632,14 @@ def test_cli_method_without_a_column_falls_back_to_mc(tmp_path, capsys):
     assert "\npt_dbm,ber_mc,ber_mc_se\n" in text
 
 
+def test_both_sweep_simulates_a_quantity_no_method_gives():
+    # the asymptote gives outage only: a "both" sweep simulates BER, and says so once
+    cfg = replace(parse_config_text(MINIMAL + "methods = asymptotic\n"), pt_dbm=(100.0,))
+    result = run_sweep(cfg, "both")
+    assert result.columns[:2] == ("pt_dbm", "outage_asymptotic") and "ber_mc" in result.columns
+    assert [w for w in result.warnings if "ber" in w] == ["no requested method gives a ber value; Monte-Carlo fills it"]
+
+
 def test_cli_foxh_eval(tmp_path, capsys):
     spec = {"args": [2.5], "terms": [{"offset": 0.0, "coeffs": [1.0]}], "contour_re": [1.0]}
     path = tmp_path / "spec.json"

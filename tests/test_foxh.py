@@ -332,33 +332,32 @@ def _cross_spec(coeffs, offset):
 
 @pytest.mark.parametrize("shift", [0.0, 0.5])
 @pytest.mark.parametrize(
-    "build,T,step",
+    "build,T",
     [
-        (lambda: _combined_cdf_spec("FP1", 1), [4.0, 5.0], (2, 1)),
-        (lambda: _combined_cdf_spec("FP2", 1), [4.0, 5.0], (1, 2)),
-        (_heterogeneous_n2_cdf_spec, [4.0, 3.0, 5.0], (2, 1, 1)),
-        (lambda: _cross_spec((1.0, math.sqrt(2.0)), 2.3), [4.0, 5.0], None),
-        (lambda: _cross_spec((1.0, 1.5), 2.3), [4.0, 5.0], None),
-        (lambda: _cross_spec((1.0, -0.5), 2.3), [4.0, 5.0], (-2, 1)),
-        (lambda: _cross_spec((1.0, 3.0, 6.0), 5.8), [4.0, 3.0, 5.0], (1, 3, 6)),
+        (lambda: _combined_cdf_spec("FP1", 1), [4.0, 5.0]),
+        (lambda: _combined_cdf_spec("FP2", 1), [4.0, 5.0]),
+        (_heterogeneous_n2_cdf_spec, [4.0, 3.0, 5.0]),
+        (lambda: _cross_spec((1.0, math.sqrt(2.0)), 2.3), [4.0, 5.0]),
+        (lambda: _cross_spec((1.0, 1.5), 2.3), [4.0, 5.0]),
+        (lambda: _cross_spec((1.0, -0.5), 2.3), [4.0, 5.0]),
+        (lambda: _cross_spec((1.0, 3.0, 6.0), 5.8), [4.0, 3.0, 5.0]),
+        (lambda: _cross_spec((1.0, 8.0), 5.3), [4.0, 5.0]),
     ],
-    ids=["fp1-n1", "fp2-n1", "heterogeneous-n2", "irrational-flat-key", "ratio-2-3-flat-key", "mixed-sign", "gapped-keys"],
+    ids=[
+        "fp1-n1", "fp2-n1", "heterogeneous-n2", "irrational-flat-key", "ratio-2-3-flat-key", "mixed-sign",
+        "gapped-keys", "line-longer-than-chunk",
+    ],
 )
-def test_cross_keys_match_point_by_point_sum(monkeypatch, build, T, step, shift):
+def test_cross_keys_match_point_by_point_sum(monkeypatch, build, T, shift):
     # Each cross factor spanning several classes is evaluated once per
-    # distinct key and gathered onto the lattice; every key kind must give
-    # the point-by-point sum: steps 1 : 1/2 and 1/2 : 1 over two classes,
-    # three classes, the flat index (None) of coefficients 1 : sqrt(2) and
-    # 1 : 1.5 (not integer multiples of the smallest), coefficients of
-    # opposite sign, and step (1, 3, 6), whose one-row chunks of the
-    # leading class reach only every third key.
+    # distinct key and gathered onto the lattice, or point by point; every
+    # case must give the point-by-point sum: steps 1 : 1/2 and 1/2 : 1 over
+    # two classes, three classes, coefficients 1 : sqrt(2) and 1 : 1.5 (not
+    # integer multiples of the smallest), coefficients of opposite sign, step
+    # (1, 3, 6), whose one-row chunks of the leading class reach only every
+    # third key, and step (1, 8), whose line is longer than its chunk lattice.
     spec = build()
-    per_var, cross, classes = foxh._split_terms(spec)
-    assert len(classes) == len(T)
-    col = cross[-1].effective_coeffs()[[members[0] for members in classes]]
-    sizes = [20, 30, 40][: len(classes)]
-    flat = tuple(math.prod(sizes[c + 1:]) for c in range(len(sizes)))
-    assert foxh._step_vector(col, sizes) == (step or flat)
+    assert len(foxh._split_terms(spec)[2]) == len(T)
     _assert_pass_matches_point_by_point_sum(monkeypatch, spec, np.array(T), 0.25, shift)
 
 
