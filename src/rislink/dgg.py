@@ -6,8 +6,13 @@ with shape (alpha, beta) and scale Omega has density
     alpha * x^(alpha*beta - 1) * (beta/Omega)^beta
         * exp(-(beta/Omega) * x^alpha) / Gamma(beta)
 
-which is the unique scale convention under which the analytic dGG density
-integrates to one with the psi/phi constants used here.
+and a reflected path's two-hop cascade is the product of four. A product
+X of such factors has the Mellin transform
+
+    E[X^s] = prod_j (Omega_j/beta_j)^(s/alpha_j) Gamma(beta_j + s/alpha_j) / Gamma(beta_j),
+
+which ``mellin_layout`` lists once per block; every density, Laplace
+transform and SNR contour integral is built from it.
 """
 from __future__ import annotations
 
@@ -22,12 +27,11 @@ from .foxh import FoxHSpec, GammaTerm, eval_foxh
 __all__ = [
     "DggParams",
     "CascadeParams",
-    "dgg_psi_phi",
+    "gg_factors",
+    "mellin_layout",
     "dgg_pdf",
     "dgg_sample",
     "dgg_moment",
-    "cascade_coeffs",
-    "cascade_moment",
     "cascade_sample",
     "product_pdf",
     "product_mgf",
@@ -60,42 +64,52 @@ class CascadeParams:
     hop2: DggParams
 
 
-def dgg_psi_phi(p: DggParams) -> tuple[float, float]:
-    """Normalization constant psi and argument scale phi of the dGG density."""
-    psi = p.alpha2 / (
-        (p.omega1 / p.beta1) ** (p.alpha2 * p.beta2 / p.alpha1)
-        * (p.omega2 / p.beta2) ** p.beta2
-        * math.exp(gammaln(p.beta1) + gammaln(p.beta2))
-    )
-    phi = (p.beta2 / p.omega2) * (p.beta1 / p.omega1) ** (p.alpha2 / p.alpha1)
-    return psi, phi
+def gg_factors(block: DggParams | CascadeParams) -> tuple[tuple[float, float, float], ...]:
+    """(alpha, beta, Omega) of each generalized Gamma factor of a link or a cascade, hop1's first."""
+    if isinstance(block, CascadeParams):
+        return gg_factors(block.hop1) + gg_factors(block.hop2)
+    return ((block.alpha1, block.beta1, block.omega1), (block.alpha2, block.beta2, block.omega2))
 
 
-def _dgg_pdf_spec(p: DggParams, x: float) -> tuple[float, FoxHSpec]:
-    psi, phi = dgg_psi_phi(p)
-    r = p.alpha2 / p.alpha1
-    terms = (
-        GammaTerm(0.0, (1.0,)),
-        GammaTerm(p.beta1 - r * p.beta2, (r,)),
-    )
-    coeff = psi * x ** (p.alpha2 * p.beta2 - 1.0)
-    spec = FoxHSpec(args=(phi * x**p.alpha2,), terms=terms)
-    return coeff, spec
+def mellin_layout(block: DggParams | CascadeParams) -> tuple[float, float, float, tuple[tuple[float, float], ...]]:
+    """(a, log norm, log B, terms): the Mellin transform of the block's amplitude X.
+
+    With a the alpha of the block's second factor, E[X^(a t)] is
+    exp(log norm) / a * B^t * prod_j Gamma(beta_j + (a/alpha_j) t); each
+    term is the pair (beta_j, a/alpha_j), in factor order.
+    """
+    factors = gg_factors(block)
+    a = factors[1][0]
+    log_norm = math.log(a) - sum(float(gammaln(beta)) for _, beta, _ in factors)
+    log_b = sum(a / alpha * math.log(omega / beta) for alpha, beta, omega in factors)
+    return a, log_norm, log_b, tuple((beta, a / alpha) for alpha, beta, _ in factors)
+
+
+def _amplitude(block: DggParams | CascadeParams, x: float, laplace: bool) -> float:
+    """exp(log norm) * H over the block's Mellin terms at argument x^a / B.
+
+    That is x times the density of the amplitude at x or, with ``laplace``
+    and its kernel Gamma(-a t), E[exp(-X/x)].
+    """
+    a, log_norm, log_b, factors = mellin_layout(block)
+    terms = [GammaTerm(beta, (r,)) for beta, r in factors]
+    if laplace:
+        terms.append(GammaTerm(0.0, (a,), orientation=-1))
+    spec = FoxHSpec(args=(x**a / math.exp(log_b),), terms=tuple(terms))
+    return math.exp(log_norm) * eval_foxh(spec)[0]
 
 
 def dgg_pdf(p: DggParams, x: float) -> float:
     """Analytic dGG density at x > 0."""
     if x <= 0:
         raise ValueError("dgg_pdf requires x > 0")
-    coeff, spec = _dgg_pdf_spec(p, x)
-    value, _ = eval_foxh(spec)
-    return coeff * value
+    return _amplitude(p, x, laplace=False) / x
 
 
-def dgg_moment(p: DggParams, k: float) -> float:
-    """E[X^k], product of the two generalized Gamma factor moments."""
+def dgg_moment(block: DggParams | CascadeParams, k: float) -> float:
+    """E[X^k] of a link or a cascade, the product of its generalized Gamma factor moments."""
     out = 1.0
-    for alpha, beta, omega in ((p.alpha1, p.beta1, p.omega1), (p.alpha2, p.beta2, p.omega2)):
+    for alpha, beta, omega in gg_factors(block):
         out *= (omega / beta) ** (k / alpha) * math.exp(gammaln(beta + k / alpha) - gammaln(beta))
     return out
 
@@ -167,60 +181,18 @@ def dgg_sample(p: DggParams, rng: np.random.Generator, n: int) -> np.ndarray:
     return x1
 
 
-def cascade_coeffs(c: CascadeParams) -> tuple[float, float]:
-    """Prefactor A and argument scale B of the two-hop product density."""
-    psi1, phi1 = dgg_psi_phi(c.hop1)
-    psi2, phi2 = dgg_psi_phi(c.hop2)
-    a2, b2 = c.hop1.alpha2, c.hop1.beta2
-    a4, b4 = c.hop2.alpha2, c.hop2.beta2
-    A = psi1 * psi2 / a4 * phi2 ** ((a2 * b2 - a4 * b4) / a4)
-    B = phi1**-1.0 * phi2 ** (-a2 / a4)
-    return A, B
-
-
-def cascade_shapes(c: CascadeParams) -> tuple[tuple[float, float], ...]:
-    """The four (alpha, beta) pairs of a cascade in canonical order."""
-    return (
-        (c.hop1.alpha1, c.hop1.beta1),
-        (c.hop1.alpha2, c.hop1.beta2),
-        (c.hop2.alpha1, c.hop2.beta1),
-        (c.hop2.alpha2, c.hop2.beta2),
-    )
-
-
 def product_pdf(c: CascadeParams, z: float) -> float:
     """Density of the product of the two hop variates at z > 0."""
     if z <= 0:
         raise ValueError("product_pdf requires z > 0")
-    A, B = cascade_coeffs(c)
-    a2 = c.hop1.alpha2
-    terms = tuple(GammaTerm(beta, (a2 / alpha,)) for alpha, beta in cascade_shapes(c))
-    spec = FoxHSpec(args=(z**a2 / B,), terms=terms)
-    value, _ = eval_foxh(spec)
-    return A * B ** c.hop1.beta2 / z * value
+    return _amplitude(c, z, laplace=False) / z
 
 
 def product_mgf(c: CascadeParams, s: float) -> float:
     """Laplace transform E[exp(-s * Z)] of the two-hop product, s > 0."""
     if s <= 0:
         raise ValueError("product_mgf requires s > 0")
-    A, B = cascade_coeffs(c)
-    a2, b2 = c.hop1.alpha2, c.hop1.beta2
-    terms = [GammaTerm(a2 * b2, (a2,), orientation=-1)]
-    for k, (alpha, beta) in enumerate(cascade_shapes(c)):
-        r = a2 / alpha
-        if k == 1:
-            terms.append(GammaTerm(0.0, (1.0,)))
-        else:
-            terms.append(GammaTerm(beta - r * b2, (r,)))
-    terms = tuple(terms)
-    spec = FoxHSpec(args=(s**-a2 / B,), terms=terms)
-    value, _ = eval_foxh(spec)
-    return A * s ** (-a2 * b2) * value
-
-
-def cascade_moment(c: CascadeParams, k: float) -> float:
-    return dgg_moment(c.hop1, k) * dgg_moment(c.hop2, k)
+    return _amplitude(c, 1.0 / s, laplace=True)
 
 
 def cascade_sample(c: CascadeParams, rng: np.random.Generator, n: int) -> np.ndarray:

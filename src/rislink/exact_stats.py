@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .channel import LinkBudget
-from .dgg import CascadeParams, DggParams, cascade_coeffs, cascade_shapes, dgg_psi_phi
+from .dgg import CascadeParams, DggParams, mellin_layout
 from .foxh import FoxHSpec, GammaTerm, QuadratureConfig, eval_foxh
 
 __all__ = [
@@ -55,38 +55,8 @@ class CombinedSnrStat:
     budget: LinkBudget
 
 
-def _log_element_coeff(elements) -> float:
-    total = 0.0
-    for c in elements:
-        A, B = cascade_coeffs(c)
-        total += math.log(A) + c.hop1.beta2 * math.log(B)
-    return total
-
-
-def _log_direct_coeff(direct: DggParams) -> float:
-    psi_d, phi_d = dgg_psi_phi(direct)
-    return math.log(psi_d) - direct.beta2 * math.log(phi_d)
-
-
 def combined_snr_stat(ensemble: RisEnsemble, budget: LinkBudget) -> CombinedSnrStat:
     return CombinedSnrStat(ensemble=ensemble, budget=budget)
-
-
-def _unit(n: int, i: int, scale: float = 1.0) -> tuple[float, ...]:
-    v = [0.0] * n
-    v[i] = scale
-    return tuple(v)
-
-
-def _element_terms(elements, nvars: int) -> list[GammaTerm]:
-    """Five Gamma factors per reflecting element, element i on variable i."""
-    terms = []
-    for i, c in enumerate(elements):
-        a2 = c.hop1.alpha2
-        for alpha, beta in cascade_shapes(c):
-            terms.append(GammaTerm(beta, _unit(nvars, i, a2 / alpha)))
-        terms.append(GammaTerm(0.0, _unit(nvars, i, a2), orientation=-1))
-    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +87,11 @@ def snr_spec(
     The branches are one contour variable per reflecting element in
     ``elements``, then one for ``direct``: an empty ``elements`` is the
     direct link alone and ``direct=None`` the reflected branch alone.
+    Each variable carries its own block's ``dgg.mellin_layout``: its Gamma
+    terms, the argument (x/gamma0)^(a/2) / B and the prefactor exp(log norm),
+    with one 1/2 per SNR summand (the reflected branch, the direct link).
+    The reflected branch adds the factors that sum the element amplitudes
+    and square the sum, and every functional its own factors.
     ``functional`` selects the density ("pdf") or distribution function
     ("cdf") at SNR x, E[Q(sqrt(2*SNR/x))] ("ber", x = 1/b), or
     E[exp(-SNR/x)] ("mgf", x = 1/s).
@@ -126,30 +101,30 @@ def snr_spec(
     if x <= 0:
         raise ValueError("requires x > 0")
     n = len(elements)
-    nvars = n + (direct is not None)
     if n > _MAX_ELEMENTS:
         raise ValueError(f"{n} elements exceed the spec cap of {_MAX_ELEMENTS}")
-    a2 = tuple(c.hop1.alpha2 for c in elements)
-    half = tuple(a / 2.0 for a in a2)
-    terms = _element_terms(elements, nvars)
-    args = [(x / budget.gamma0_ris) ** h / cascade_coeffs(c)[1] for h, c in zip(half, elements)]
-    logc = math.log(0.5) + _log_element_coeff(elements) if elements else 0.0
-    if direct is not None:
-        ad2 = direct.alpha2
-        terms += [
-            GammaTerm(direct.beta2, _unit(nvars, n, 1.0)),
-            GammaTerm(direct.beta1, _unit(nvars, n, ad2 / direct.alpha1)),
-            GammaTerm(0.0, _unit(nvars, n, ad2 / 2.0), orientation=-1),
-        ]
-        args.append(dgg_psi_phi(direct)[1] * (x / budget.gamma0_d) ** (ad2 / 2.0))
-        logc += math.log(0.5) + _log_direct_coeff(direct)
+    blocks = (*elements, direct) if direct is not None else tuple(elements)
+    nvars = len(blocks)
+    terms, args, scales = [], [], []
+    logc = math.log(0.5) * ((n > 0) + (direct is not None))
+    for i, block in enumerate(blocks):
+        a, log_norm, log_b, factors = mellin_layout(block)
+        row = [0.0] * nvars  # variable i's coefficients, one term at a time
+        for beta, r in factors:
+            row[i] = r
+            terms.append(GammaTerm(beta, tuple(row)))
+        # an element's amplitude enters the amplitude sum, the direct link's SNR the SNR sum
+        row[i] = a if i < n else a / 2.0
+        terms.append(GammaTerm(0.0, tuple(row), orientation=-1))
+        args.append((x / (budget.gamma0_ris if i < n else budget.gamma0_d)) ** (a / 2.0) / math.exp(log_b))
+        scales.append(a)
+        logc += log_norm
+    half = tuple(a / 2.0 for a in scales)
     if elements:
         # the reflected SNR is the square of the summed element amplitudes
         pad = (0.0,) * (nvars - n)
-        terms.append(GammaTerm(0.0, half + pad, orientation=-1))
-        terms.append(GammaTerm(0.0, a2 + pad, sign=-1, orientation=-1))
-    if direct is not None:
-        half += (direct.alpha2 / 2.0,)
+        terms.append(GammaTerm(0.0, half[:n] + pad, orientation=-1))
+        terms.append(GammaTerm(0.0, tuple(scales[:n]) + pad, sign=-1, orientation=-1))
     for offset, sign in _FUNCTIONAL_TERMS[functional]:
         terms.append(GammaTerm(offset, half, sign=sign, orientation=-1))
     if functional == "pdf":

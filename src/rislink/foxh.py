@@ -325,9 +325,12 @@ def _cross_log(terms, classes, anchors, coords, h):
 
 
 def _contract(x: np.ndarray, weights) -> complex:
-    """sum over the class lattice of x * prod_c weights[c], last axis first."""
+    """sum over the class lattice of x * prod_c weights[c], last axis first.
+
+    einsum's own loop, not a BLAS gemv, which pays for waking its threads.
+    """
     for w in reversed(weights):
-        x = x @ w
+        x = np.einsum("...i,i->...", x, w)
     return complex(x)
 
 

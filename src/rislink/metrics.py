@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from .channel import LinkBudget
-from .dgg import CascadeParams, DggParams, cascade_shapes
+from .dgg import CascadeParams, DggParams, gg_factors
 from .exact_stats import CombinedSnrStat, RisEnsemble, snr_functional, snr_spec
 from .foxh import QuadratureConfig, leading_residue
 
@@ -132,11 +132,9 @@ def outage_asymptotic(stat: CombinedSnrStat, gamma_th: float) -> float:
 def branch_diversity(elements: tuple[CascadeParams, ...], direct: DggParams | None) -> DiversityReport:
     """Outage and BER diversity orders of a branch set, from each branch's smallest
     shape product alpha*beta; ``direct_min`` is None without a direct link."""
-    shapes = [cascade_shapes(c) for c in elements]
-    if direct is not None:
-        shapes.append(((direct.alpha1, direct.beta1), (direct.alpha2, direct.beta2)))
-    minima = [min(alpha * beta for alpha, beta in s) / 2.0 for s in shapes]
-    ber_minima = [min(alpha * beta - 1.0 for alpha, beta in s) / 2.0 for s in shapes]
+    factors = [gg_factors(b) for b in (*elements, direct) if b is not None]
+    minima = [min(alpha * beta for alpha, beta, _ in f) / 2.0 for f in factors]
+    ber_minima = [min(alpha * beta - 1.0 for alpha, beta, _ in f) / 2.0 for f in factors]
     return DiversityReport(
         g_out=sum(minima),
         g_ber=sum(ber_minima),

@@ -39,14 +39,18 @@ UNIT_TRIALS = 100_000
 
 
 class DegenerateEstimate(RuntimeError):
-    """Zero failures observed; carries the one-sided rule-of-three bound."""
+    """No event in the trials: no outage, or a conditional bit error that
+    underflows to 0 in every trial. Carries the one-sided rule-of-three
+    bound on the rate of such events."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, quantity: str = "outage"):
         self.n = n
         self.upper_bound = 3.0 / n
-        super().__init__(
-            f"no failures in {n} trials; outage < {self.upper_bound:.3e} (95% one-sided)"
-        )
+        if quantity == "outage":
+            message = f"no failures in {n} trials; outage < {self.upper_bound:.3e} (95% one-sided)"
+        else:
+            message = f"conditional error is 0 in all {n} trials; {quantity} too small to estimate"
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -170,10 +174,16 @@ class McTally:
         return McEstimate(mean=p, std_error=math.sqrt(p * (1.0 - p) / n), n=n)
 
     def ber(self) -> McEstimate:
-        """Empirical mean of the conditional error a*Q(sqrt(2*b*snr))."""
+        """Empirical mean of the conditional error a*Q(sqrt(2*b*snr)).
+
+        A sum of 0, where every trial's error underflowed, is no estimate:
+        it raises DegenerateEstimate, as an outage with no failures does.
+        """
         if not self.has_ber:
             raise ValueError("tally was run without modulation parameters")
         n = self.n
+        if self.err_sum == 0:
+            raise DegenerateEstimate(n, "BER")
         mean = self.err_sum / n
         var = max(self.err_sq_sum / n - mean**2, 0.0)
         return McEstimate(mean=mean, std_error=math.sqrt(var / n), n=n)

@@ -380,7 +380,7 @@ def test_ris_only_out_of_range_exact_outage_left_empty():
     result = run_sweep(scenario_cfg("ris_only", n=2, pt="-10", methods="exact"), "both")
     outage, ber = result.rows[0][1:]
     assert outage is None
-    assert ber == pytest.approx(0.4999404640566385, rel=1e-12)
+    assert ber == pytest.approx(0.49994046402051406, rel=1e-12)
     assert len(result.warnings) == 1
     assert result.warnings[0].startswith("outage_exact failed at pt=-10 dBm")
 
@@ -637,7 +637,20 @@ def test_both_sweep_simulates_a_quantity_no_method_gives():
     cfg = replace(parse_config_text(MINIMAL + "methods = asymptotic\n"), pt_dbm=(100.0,))
     result = run_sweep(cfg, "both")
     assert result.columns[:2] == ("pt_dbm", "outage_asymptotic") and "ber_mc" in result.columns
-    assert [w for w in result.warnings if "ber" in w] == ["no requested method gives a ber value; Monte-Carlo fills it"]
+    assert [w for w in result.warnings if "ber" in w] == [
+        "no requested method gives a ber value; Monte-Carlo fills it",
+        "ber_mc failed at pt=100 dBm: conditional error is 0 in all 20000 trials; BER too small to estimate",
+    ]
+
+
+def test_ber_sweep_leaves_an_underflowed_mc_ber_empty():
+    # every trial's conditional error underflows to 0 at 100 dBm: no estimate, not 0 +- 0
+    cfg = replace(parse_config_text(MINIMAL + "methods = mc\n"), pt_dbm=(100.0,))
+    result = run_sweep(cfg, "ber")
+    assert result.columns == ("pt_dbm", "ber_mc", "ber_mc_se")
+    assert result.rows == ((100.0, None, None),)
+    assert len(result.warnings) == 1 and result.warnings[0].startswith("ber_mc failed at pt=100 dBm")
+    assert "BER" in result.warnings[0]
 
 
 def test_cli_foxh_eval(tmp_path, capsys):

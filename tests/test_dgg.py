@@ -17,13 +17,11 @@ from rislink.config import preset_fading
 from rislink.dgg import (
     CascadeParams,
     DggParams,
-    cascade_coeffs,
-    cascade_moment,
     cascade_sample,
     dgg_moment,
     dgg_pdf,
-    dgg_psi_phi,
     dgg_sample,
+    mellin_layout,
     product_mgf,
     product_pdf,
 )
@@ -91,12 +89,12 @@ def test_sampling_matches_moments():
             assert np.mean(x**k) == pytest.approx(mk, abs=4 * se)
 
 
-def test_psi_phi_positive_and_scaleless_identity():
-    psi, phi = dgg_psi_phi(FP1)
-    assert psi > 0 and phi > 0
-    # doubling both scales must lower phi
+def test_layout_scale_rises_with_both_scales():
+    a, log_norm, log_b, terms = mellin_layout(FP1)
+    assert a == FP1.alpha2 and len(terms) == 2
+    # doubling both scales must raise B
     wider = DggParams(2.0, 1.0, 2.0, 2.0, 2 * 1.5793, 2 * 0.9671)
-    assert dgg_psi_phi(wider)[1] < phi
+    assert mellin_layout(wider)[2] > log_b
 
 
 def test_invalid_params_rejected():
@@ -153,12 +151,17 @@ def test_cascade_moment_matches_sampling():
     rng = np.random.default_rng(3)
     z = cascade_sample(c, rng, 400_000)
     se = float(np.std(z)) / math.sqrt(z.size)
-    assert cascade_moment(c, 1.0) == pytest.approx(float(np.mean(z)), abs=4 * se)
+    assert dgg_moment(c, 1.0) == pytest.approx(float(np.mean(z)), abs=4 * se)
 
 
-def test_cascade_coeffs_positive():
-    A, B = cascade_coeffs(CascadeParams(FP1, FP3))
-    assert A > 0 and B > 0
+@pytest.mark.parametrize("block", [FP3, CascadeParams(FP1, FP3)], ids=["link", "mixed-hop-cascade"])
+def test_mellin_layout_gives_the_moments(block):
+    # E[X^(a t)] = exp(log norm) / a * B^t * prod Gamma(beta_j + (a/alpha_j) t), at t = k/a
+    a, log_norm, log_b, terms = mellin_layout(block)
+    for k in (0.5, 1.0, 2.0, 3.0):
+        t = k / a
+        log_m = log_norm - math.log(a) + t * log_b + sum(gammaln(beta + r * t) for beta, r in terms)
+        assert math.exp(log_m) == pytest.approx(dgg_moment(block, k), rel=1e-13)
 
 
 def test_presets_load_as_valid_params():

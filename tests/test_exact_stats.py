@@ -14,11 +14,9 @@ from rislink.config import default_geometry, parse_config_text, preset_fading
 from rislink.dgg import (
     CascadeParams,
     DggParams,
-    cascade_coeffs,
     cascade_sample,
-    cascade_shapes,
-    dgg_psi_phi,
     dgg_sample,
+    gg_factors,
 )
 from rislink.exact_stats import (
     RisEnsemble,
@@ -167,27 +165,33 @@ def test_gamma_cdf_monotone_in_threshold_and_power():
 
 
 def test_snr_spec_matches_combined_cdf_term_for_term():
-    # The combined CDF at N=1 written out factor by factor: variable 0 is
-    # the element, variable 1 the direct link.
+    # The combined CDF at N=1 written out factor by factor from the
+    # generalized Gamma factor lists: variable 0 is the element, variable 1
+    # the direct link, each scaled by the alpha a of its second factor.
     g = 2.0
-    a2, ad2 = CASCADE.hop1.alpha2, DIRECT.alpha2
-    terms = [GammaTerm(beta, (a2 / alpha, 0.0)) for alpha, beta in cascade_shapes(CASCADE)]
+    el, dt = gg_factors(CASCADE), gg_factors(DIRECT)
+    a2, ad2 = el[1][0], dt[1][0]
+    terms = [GammaTerm(beta, (a2 / alpha, 0.0)) for alpha, beta, _ in el]
+    terms.append(GammaTerm(0.0, (a2, 0.0), orientation=-1))
+    terms += [GammaTerm(beta, (0.0, ad2 / alpha)) for alpha, beta, _ in dt]
     terms += [
-        GammaTerm(0.0, (a2, 0.0), orientation=-1),
-        GammaTerm(DIRECT.beta2, (0.0, 1.0)),
-        GammaTerm(DIRECT.beta1, (0.0, ad2 / DIRECT.alpha1)),
         GammaTerm(0.0, (0.0, ad2 / 2.0), orientation=-1),
         GammaTerm(0.0, (a2 / 2.0, 0.0), orientation=-1),
         GammaTerm(0.0, (a2, 0.0), sign=-1, orientation=-1),
         GammaTerm(1.0, (a2 / 2.0, ad2 / 2.0), sign=-1, orientation=-1),
     ]
+
+    def scale(a, factors):
+        # B = prod (Omega/beta)^(a/alpha)
+        return math.exp(sum(a / alpha * math.log(omega / beta) for alpha, beta, omega in factors))
+
     args = (
-        (g / BUD.gamma0_ris) ** (a2 / 2.0) / cascade_coeffs(CASCADE)[1],
-        dgg_psi_phi(DIRECT)[1] * (g / BUD.gamma0_d) ** (ad2 / 2.0),
+        (g / BUD.gamma0_ris) ** (a2 / 2.0) / scale(a2, el),
+        (g / BUD.gamma0_d) ** (ad2 / 2.0) / scale(ad2, dt),
     )
-    A, B = cascade_coeffs(CASCADE)
-    psi_d, phi_d = dgg_psi_phi(DIRECT)
-    prefactor = 0.25 * A * B**CASCADE.hop1.beta2 * psi_d / phi_d**DIRECT.beta2
+    prefactor = 0.25 * (a2 / math.prod(math.gamma(b) for _, b, _ in el)) * (
+        ad2 / math.prod(math.gamma(b) for _, b, _ in dt)
+    )
     logc, spec = snr_spec((CASCADE,), DIRECT, BUD, "cdf", g)
     assert spec.terms == tuple(terms)
     assert spec.args == args

@@ -94,3 +94,17 @@ def test_gamma_functions_only_in_foxh_special_dgg():
         if hits(node)
     ]
     assert not found, "\n".join(found)
+
+
+def test_fading_fields_read_only_in_dgg():
+    # dgg lists every block's generalized Gamma factors (gg_factors, mellin_layout);
+    # reading a shape or scale field elsewhere would write a factor layout a second time.
+    fields = {"alpha1", "beta1", "alpha2", "beta2", "omega1", "omega2"}
+    found = [
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "dgg.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in fields
+    ]
+    assert not found, "\n".join(found)

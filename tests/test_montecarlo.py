@@ -7,7 +7,7 @@ import pytest
 
 from rislink.channel import budget, relay_hop_budgets
 from rislink.config import SCENARIOS, preset_system
-from rislink.dgg import cascade_moment, dgg_moment, dgg_sample
+from rislink.dgg import dgg_moment, dgg_sample
 from rislink.metrics import ModulationParams
 from rislink import montecarlo
 from rislink.montecarlo import (
@@ -59,8 +59,8 @@ def test_mean_snr_matches_moments():
     # E[snr] = gamma0_ris * E[(sum h_i)^2] + gamma0_d * E[h_d^2]
     cfg = preset_system("FP1", 3)
     bud = budget(cfg.geometry, 20.0, cfg.noise_dbm)
-    m1 = cascade_moment(cfg.elements[0], 1.0)
-    m2 = cascade_moment(cfg.elements[0], 2.0)
+    m1 = dgg_moment(cfg.elements[0], 1.0)
+    m2 = dgg_moment(cfg.elements[0], 2.0)
     n = 3
     expect = bud.gamma0_ris * (n * m2 + n * (n - 1) * m1**2)
     expect += bud.gamma0_d * dgg_moment(cfg.direct, 2.0)
