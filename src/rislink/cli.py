@@ -86,7 +86,7 @@ def _effective_methods(config: ScenarioConfig, quantities, warnings: list[str]) 
         routes = {"exact": "exact evaluation has no route", "asymptotic": "no asymptote"}
         unavailable.update((m, f"{routes[m]} for scenario '{config.scenario}'") for m in routes if m in methods)
     elif "exact" in methods:
-        # one contour variable per element, one more for the direct link
+        # MAX_DIMS counts members: one per element, one more for the direct link
         nvars = len(branches[0]) + (branches[1] is not None)
         if nvars > MAX_DIMS:
             unavailable["exact"] = f"{nvars} contour variables exceed MAX_DIMS={MAX_DIMS}"
@@ -284,10 +284,12 @@ def _cmd_verify(args) -> int:
 
 
 def _check_spec_numbers(payload) -> None:
-    """Refuse spec entries that are not JSON numbers: FoxHSpec would parse strings as numbers."""
+    """Refuse non-numbers, which FoxHSpec would parse, and a sign or orientation other than the integer 1 or -1."""
     fields = [("args", payload["args"]), ("contour_re", payload.get("contour_re") or [])]
     for t in payload["terms"]:
         fields += [("offset", [t["offset"]]), ("coeffs", t["coeffs"])]
+        if any(type(t.get(k, 1)) is not int or t.get(k, 1) not in (1, -1) for k in ("sign", "orientation")):
+            raise TypeError(f"sign or orientation of term {t!r} is not the integer 1 or -1")
     for name, values in fields:
         if not isinstance(values, list):
             raise TypeError(f"'{name}' is not a list")

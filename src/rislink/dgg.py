@@ -76,12 +76,12 @@ def mellin_layout(block: DggParams | CascadeParams) -> tuple[float, float, float
 
     With a the alpha of the block's second factor, E[X^(a t)] is
     exp(log norm) / a * B^t * prod_j Gamma(beta_j + (a/alpha_j) t); each
-    term is the pair (beta_j, a/alpha_j), in factor order.
+    term is the pair (beta_j, a/alpha_j), in factor order, which the exactly rounded sums ignore.
     """
     factors = gg_factors(block)
     a = factors[1][0]
-    log_norm = math.log(a) - sum(float(gammaln(beta)) for _, beta, _ in factors)
-    log_b = sum(a / alpha * math.log(omega / beta) for alpha, beta, omega in factors)
+    log_norm = math.log(a) - math.fsum(float(gammaln(beta)) for _, beta, _ in factors)
+    log_b = math.fsum(a / alpha * math.log(omega / beta) for alpha, beta, omega in factors)
     return a, log_norm, log_b, tuple((beta, a / alpha) for alpha, beta, _ in factors)
 
 

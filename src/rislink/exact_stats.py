@@ -1,13 +1,14 @@
 """Exact distribution of the combined SNR via multivariate contour integrals.
 
-The reflected branch contributes one contour variable per array element
-and the direct branch one more. All specs below share the same
-per-variable Gamma structure; they differ only in arguments, prefactors,
-and the cross-variable coupling factors.
+The reflected branch contributes one contour variable per distinct element
+law, counting the elements that share it, and the direct branch one more.
+All specs below share the same per-variable Gamma structure; they differ
+only in arguments, prefactors, and the joint factors that couple them.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .channel import LinkBudget
@@ -62,9 +63,6 @@ def combined_snr_stat(ensemble: RisEnsemble, budget: LinkBudget) -> CombinedSnrS
 # ---------------------------------------------------------------------------
 # SNR of any branch set: reflected, direct, or both combined
 
-# Most reflecting elements in one spec, which holds about 5 N^2 coefficients
-_MAX_ELEMENTS = 1000
-
 # Factors Gamma(offset - sum_i (alpha2_i/2) t_i)^sign, over every branch
 # variable, that turn the Mellin transform of the SNR into each functional.
 _FUNCTIONAL_TERMS = {
@@ -84,14 +82,15 @@ def snr_spec(
 ) -> tuple[float, FoxHSpec]:
     """(log prefactor, spec) so that exp(logc) * H is a functional of the SNR.
 
-    The branches are one contour variable per reflecting element in
-    ``elements``, then one for ``direct``: an empty ``elements`` is the
-    direct link alone and ``direct=None`` the reflected branch alone.
-    Each variable carries its own block's ``dgg.mellin_layout``: its Gamma
-    terms, the argument (x/gamma0)^(a/2) / B and the prefactor exp(log norm),
-    with one 1/2 per SNR summand (the reflected branch, the direct link).
-    The reflected branch adds the factors that sum the element amplitudes
-    and square the sum, and every functional its own factors.
+    The branches are one contour variable per law of the reflecting
+    ``elements`` (a ``dgg.mellin_layout``, up to factor order), counting the
+    elements that share it, then one for ``direct``: an empty ``elements`` is
+    the direct link alone and ``direct=None`` the reflected branch alone.
+    Each variable carries its layout: its Gamma terms, the argument
+    (x/gamma0)^(a/2) / B and the prefactor exp(log norm) per member, with
+    one 1/2 per SNR summand (the reflected branch, the direct link). The
+    reflected branch adds the joint factors that sum the element amplitudes
+    and square the sum, and every functional its own joint factors.
     ``functional`` selects the density ("pdf") or distribution function
     ("cdf") at SNR x, E[Q(sqrt(2*SNR/x))] ("ber", x = 1/b), or
     E[exp(-SNR/x)] ("mgf", x = 1/s).
@@ -100,16 +99,17 @@ def snr_spec(
         raise ValueError(f"functional must be one of {tuple(_FUNCTIONAL_TERMS)}, got '{functional}'")
     if x <= 0:
         raise ValueError("requires x > 0")
-    n = len(elements)
-    if n > _MAX_ELEMENTS:
-        raise ValueError(f"{n} elements exceed the spec cap of {_MAX_ELEMENTS}")
-    blocks = (*elements, direct) if direct is not None else tuple(elements)
-    nvars = len(blocks)
+    laws: dict[tuple, list] = {}  # law -> [its layout, its element count]
+    for block, count in Counter(elements).items():
+        layout = mellin_layout(block)
+        laws.setdefault((*layout[:3], tuple(sorted(layout[3]))), [layout, 0])[1] += count
+    n = len(laws)
+    layouts = [layout for layout, _ in laws.values()] + ([mellin_layout(direct)] if direct is not None else [])
+    counts = [count for _, count in laws.values()] + [1] * (direct is not None)
     terms, args, scales = [], [], []
     logc = math.log(0.5) * ((n > 0) + (direct is not None))
-    for i, block in enumerate(blocks):
-        a, log_norm, log_b, factors = mellin_layout(block)
-        row = [0.0] * nvars  # variable i's coefficients, one term at a time
+    for i, ((a, log_norm, log_b, factors), count) in enumerate(zip(layouts, counts)):
+        row = [0.0] * len(layouts)  # variable i's coefficients, one term at a time
         for beta, r in factors:
             row[i] = r
             terms.append(GammaTerm(beta, tuple(row)))
@@ -118,20 +118,20 @@ def snr_spec(
         terms.append(GammaTerm(0.0, tuple(row), orientation=-1))
         args.append((x / (budget.gamma0_ris if i < n else budget.gamma0_d)) ** (a / 2.0) / math.exp(log_b))
         scales.append(a)
-        logc += log_norm
+        logc += count * log_norm
     half = tuple(a / 2.0 for a in scales)
     if elements:
         # the reflected SNR is the square of the summed element amplitudes
-        pad = (0.0,) * (nvars - n)
-        terms.append(GammaTerm(0.0, half[:n] + pad, orientation=-1))
-        terms.append(GammaTerm(0.0, tuple(scales[:n]) + pad, sign=-1, orientation=-1))
+        pad = (0.0,) * (direct is not None)
+        terms.append(GammaTerm(0.0, half[:n] + pad, orientation=-1, joint=True))
+        terms.append(GammaTerm(0.0, tuple(scales[:n]) + pad, sign=-1, orientation=-1, joint=True))
     for offset, sign in _FUNCTIONAL_TERMS[functional]:
-        terms.append(GammaTerm(offset, half, sign=sign, orientation=-1))
+        terms.append(GammaTerm(offset, half, sign=sign, orientation=-1, joint=True))
     if functional == "pdf":
         logc -= math.log(x)
     elif functional == "ber":
         logc -= 0.5 * math.log(4.0 * math.pi)
-    return logc, FoxHSpec(args=tuple(args), terms=tuple(terms))
+    return logc, FoxHSpec(args=tuple(args), terms=tuple(terms), counts=tuple(counts))
 
 
 def snr_functional(

@@ -7,16 +7,17 @@ The value computed is
 
 over vertical lines t_i = contour_re[i] + i*y_i, where each Gamma factor's
 argument is affine in the contour variables. Quadrature is a truncated
-trapezoid tensor product over at most MAX_DIMS contour variables.
+trapezoid tensor product over at most MAX_DIMS members of the variables.
 
-Gamma factors whose argument involves a single contour variable are
-evaluated once per 1-D axis. Variables whose coefficients agree in every
-cross-variable factor form a class: on the shared-step grid those factors
-see only the sum of the class's grid indices, so the class's axis weights
-are convolved onto one lattice. Every class lattice is an arithmetic
-sequence with the shared step, so a cross factor whose class coefficients
-are integer multiples p_c of the smallest one has an argument affine in
-d = sum_c p_c * m_c of the class indices m_c: it is evaluated once per
+A variable stands for a count of identical members, each with the
+variable's argument and its own copy of the variable's single-variable
+("own") factors; a joint factor sees only the sum of the members' values.
+Own factors are evaluated once per 1-D axis, and on the shared-step grid
+the variable's one axis weight is convolved once per member onto the
+lattice of the members' index sums. Every lattice is an arithmetic
+sequence with the shared step, so a joint factor whose coefficients are
+integer multiples p_c of the smallest one has an argument affine in
+d = sum_c p_c * m_c of the lattice indices m_c: it is evaluated once per
 value of d on a line, not once per lattice point.
 
 Each axis is truncated where Stirling's formula for every Gamma factor
@@ -33,7 +34,8 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.special import gammaln, gammasgn, psi, zeta
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import comb, gammaln, gammasgn, psi, zeta
 
 from .special import log_gamma
 
@@ -52,8 +54,7 @@ __all__ = [
     "dump_spec",
 ]
 
-# The one cap on exact evaluation: variables in one class cost a
-# convolution, but distinct classes still span a K^classes table.
+# The one cap on exact evaluation, in members: each variable's cost a convolution, distinct variables a K^n table.
 MAX_DIMS = 3
 # longest half-length of an imaginary axis, and step halvings or
 # truncation extensions before giving up
@@ -81,12 +82,14 @@ class NotConverged(RuntimeError):
 
 @dataclass(frozen=True)
 class GammaTerm:
-    """One Gamma factor: Gamma(offset + orientation * sum_i coeffs[i]*t_i)^sign."""
+    """One Gamma factor Gamma(offset + orientation * sum_i coeffs[i]*t_i)^sign: one copy per member of its one
+    variable or, if ``joint`` (always so for several variables or none), of t_i summed over the members."""
 
     offset: float
     coeffs: tuple[float, ...]
     sign: int = 1  # +1 numerator, -1 denominator
     orientation: int = 1
+    joint: bool = False
 
     def __post_init__(self):
         if self.sign not in (1, -1) or self.orientation not in (1, -1):
@@ -94,6 +97,7 @@ class GammaTerm:
         if not all(math.isfinite(c) for c in self.coeffs) or not math.isfinite(self.offset):
             raise ValueError("GammaTerm coefficients must be finite")
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "joint", bool(self.joint) or sum(c != 0.0 for c in self.coeffs) != 1)
 
     def effective_coeffs(self) -> np.ndarray:
         return self.orientation * np.asarray(self.coeffs)
@@ -111,19 +115,22 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class FoxHSpec:
-    """One contour integral at positive real arguments; ``contour_re=None``
-    places the anchors by ``suggest_anchors``, and all anchors are checked."""
+    """One contour integral at positive real arguments, variable i standing for ``counts[i]`` identical members
+    (default 1); ``contour_re=None`` places the anchors by ``suggest_anchors``, and all anchors are checked."""
 
     args: tuple[complex, ...]
     terms: tuple[GammaTerm, ...]
     contour_re: tuple[float, ...] | None = None
+    counts: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(complex(a) for a in self.args))
         object.__setattr__(self, "terms", tuple(self.terms))
-        for term in self.terms:
-            if len(term.coeffs) != self.num_vars:
-                raise ValueError("GammaTerm coefficient count must match num_vars")
+        object.__setattr__(self, "counts", tuple(self.counts or (1,) * self.num_vars))
+        if len(self.counts) != self.num_vars or not all(isinstance(n, int) and n >= 1 for n in self.counts):
+            raise ValueError("counts must be one positive integer per variable")
+        if any(len(term.coeffs) != self.num_vars for term in self.terms):
+            raise ValueError("GammaTerm coefficient count must match num_vars")
         if any(not (np.isfinite(a) and a.imag == 0 and a.real > 0) for a in self.args):
             raise ValueError("arguments must be finite positive real numbers")
         anchors = suggest_anchors(self.terms, self.num_vars) if self.contour_re is None else self.contour_re
@@ -140,13 +147,13 @@ class FoxHSpec:
         return len(self.args)
 
 
-def _feasible_intervals(terms, anchors: np.ndarray, cross: bool) -> list[tuple[float, float]]:
+def _feasible_intervals(terms, anchors: np.ndarray, counts: np.ndarray | None = None) -> list[tuple[float, float]]:
     """Feasible real-anchor interval per variable.
 
     A numerator Gamma factor must keep the real part of its argument
-    positive along the contour (its poles all stay on one side). A factor
-    coupling several variables is skipped unless ``cross``, and otherwise
-    bounds each of them with the other anchors held at ``anchors``.
+    positive along the contour (its poles all stay on one side). A joint
+    factor is skipped without ``counts``, and otherwise bounds each member
+    of its variables with every other member at its variable's anchor.
     """
     intervals = [[-math.inf, math.inf] for _ in anchors]
     for term in terms:
@@ -158,10 +165,10 @@ def _feasible_intervals(terms, anchors: np.ndarray, cross: bool) -> list[tuple[f
             if term.offset <= 0:
                 raise NoValidContour(0, f"constant numerator term with offset {term.offset} <= 0")
             continue
-        if len(active) > 1 and not cross:
+        if term.joint and counts is None:
             continue
         for i in active:
-            rest = float(term.offset + eff @ anchors - eff[i] * anchors[i])
+            rest = float(term.offset + (eff * counts if term.joint else eff) @ anchors - eff[i] * anchors[i])
             if eff[i] > 0:
                 intervals[i][0] = max(intervals[i][0], -rest / eff[i])
             else:
@@ -176,18 +183,18 @@ def _feasible_intervals(terms, anchors: np.ndarray, cross: bool) -> list[tuple[f
 
 def validate_contour(spec: FoxHSpec) -> list[tuple[float, float]]:
     """Feasible interval per variable under every numerator factor, other anchors at the spec's."""
-    return _feasible_intervals(spec.terms, np.asarray(spec.contour_re), cross=True)
+    return _feasible_intervals(spec.terms, np.asarray(spec.contour_re), np.asarray(spec.counts))
 
 
 def suggest_anchors(terms, num_vars: int) -> tuple[float, ...]:
     """Midpoints of the per-variable feasible intervals.
 
-    Only single-variable numerator factors are used, which is exact for
-    every spec family built in this package (cross factors never bind).
+    Only own numerator factors are used, which is exact for every spec
+    family built in this package (joint factors never bind).
     Unbounded sides are clipped one unit from the finite side.
     """
     anchors = []
-    for lo, hi in _feasible_intervals(terms, np.zeros(num_vars), cross=False):
+    for lo, hi in _feasible_intervals(terms, np.zeros(num_vars)):
         if math.isinf(lo) and math.isinf(hi):
             anchors.append(0.0)
         elif math.isinf(hi):
@@ -200,25 +207,10 @@ def suggest_anchors(terms, num_vars: int) -> tuple[float, ...]:
 
 
 def _split_terms(spec: FoxHSpec):
-    """Partition factors into per-variable groups and cross-variable ones.
-
-    Also groups the variables into classes: variables whose columns of
-    effective coefficients across the cross factors are identical enter
-    every cross factor only through the sum of their contour values.
-    """
-    per_var = [[] for _ in range(spec.num_vars)]
-    cross = []
-    for term in spec.terms:
-        active = np.nonzero(term.effective_coeffs())[0]
-        if len(active) == 1:
-            per_var[active[0]].append(term)
-        else:
-            cross.append(term)
-    columns = np.array([term.effective_coeffs() for term in cross]).reshape(len(cross), spec.num_vars)
-    classes: dict[tuple, list[int]] = {}
-    for i in range(spec.num_vars):
-        classes.setdefault(tuple(columns[:, i]), []).append(i)
-    return per_var, cross, list(classes.values())
+    """Each variable's own factors, and the joint ones; a factor that spans one member is that member's own."""
+    own = [not t.joint or sum(n for n, c in zip(spec.counts, t.coeffs) if c) == 1 for t in spec.terms]
+    per_var = [[t for t, o in zip(spec.terms, own) if o and t.coeffs[i]] for i in range(spec.num_vars)]
+    return per_var, [t for t, o in zip(spec.terms, own) if not o]
 
 
 def _axis_logs(spec: FoxHSpec, per_var, axes_y):
@@ -238,80 +230,84 @@ def _axis_logs(spec: FoxHSpec, per_var, axes_y):
 def _scan_truncation(spec: FoxHSpec, quad: QuadratureConfig) -> np.ndarray:
     """Per-variable half-length where the integrand has decayed to noise.
 
-    Probes each imaginary axis with the other variables at zero, and the
-    two diagonals (for one variable, the axis and its mirror): denominator
-    factors coupling several variables grow when those variables move
+    Probes each member's imaginary axis with the other members at zero, and
+    the diagonal over all members with and without the last one reversed:
+    denominator factors coupling several members grow when those move
     together, so the joint decay can be slower than any axis shows. Along
     direction d a factor's argument is w = sigma + i*s*(c.d), and its
     log-modulus is Stirling's (sigma - 1/2) ln|w| - Im(w) arg w - sigma +
-    ln(2 pi)/2; log Gamma itself gives only the level at y = 0, which also
-    stands for each factor that d leaves constant.
+    ln(2 pi)/2, even in c.d; log Gamma itself gives only the level at y = 0,
+    kept by each factor that d leaves constant. d moves m of a variable's n
+    members, so m copies of each own factor, and joint factors by the signed
+    member sums.
     """
     n = spec.num_vars
+    counts = np.asarray(spec.counts)
     probe = np.arange(0.0, HALF_LENGTH + 0.25, 0.25)
-    dirs = np.vstack([np.eye(n), np.ones(n), np.r_[np.ones(n - 1), -1.0]])
+    # members moved, and their signed sum, per variable along each direction
+    moved = np.vstack([np.eye(n), counts, counts])
+    sums = np.vstack([np.eye(n), counts, counts - 2.0 * np.eye(n)[-1]])
     coeffs = np.array([term.effective_coeffs() for term in spec.terms]).reshape(len(spec.terms), n)
+    joint = np.array([term.joint for term in spec.terms])
     signs = np.array([term.sign for term in spec.terms])
-    sigma = np.array([term.offset for term in spec.terms]) + coeffs @ np.asarray(spec.contour_re)
+    sigma = np.array([t.offset for t in spec.terms]) + np.where(joint[:, None], coeffs * counts, coeffs) @ spec.contour_re
     exact = np.real(log_gamma(sigma))
+    copies = np.where(joint, 1, (coeffs != 0.0) @ counts)
     # the kernel z^{-t} has constant modulus along every direction
-    rate = dirs @ coeffs.T
+    rate = np.where(joint, sums @ coeffs.T, (moved > 0) @ coeffs.T)
+    movers = np.where(joint, rate != 0.0, moved @ (coeffs != 0.0).T)
     w = sigma + 1j * probe[:, None, None] * rate
     stirling = (sigma - 0.5) * np.log(np.abs(w)) - w.imag * np.angle(w) - sigma + 0.5 * math.log(2.0 * math.pi)
-    level = np.where(rate == 0.0, exact, stirling) @ signs
-    above = level > exact @ signs + math.log(min(1e-10, quad.rel_tol * 1e-4))
+    level = np.where(movers > 0, movers * stirling, 0.0) + np.where(copies > movers, (copies - movers) * exact, 0.0)
+    above = level @ signs > (copies * exact) @ signs + math.log(min(1e-10, quad.rel_tol * 1e-4))
     reach = np.max(np.where(above, probe[:, None], 0.0), axis=0)
     T = np.maximum(reach[:n], reach[n:].max())
     return np.minimum(np.maximum(T + 1.0, 4.0), HALF_LENGTH)
 
 
-def _class_weights(members, axis_logs, axes_y, T):
-    """Axis weights of one variable class, convolved onto its sum lattice.
+def _class_weights(axis_log, axis_y, T, count):
+    """One variable's axis weight, convolved once per member onto its sum lattice.
 
     Returns the log level factored out of the weights and the signed,
     inner-box (every |y_i| <= T_i - 1) and absolute weights. Direct
     convolution, not an FFT: the FFT's absolute error would swamp the
     signed cancellation.
     """
-    level = 0.0
-    signed = inner = absolute = np.ones(1)
-    for i in members:
-        axis_level = float(np.max(axis_logs[i].real))
-        level += axis_level
-        w = np.exp(axis_logs[i] - axis_level)
-        signed = np.convolve(signed, w)
-        inner = np.convolve(inner, np.where(np.abs(axes_y[i]) <= T[i] - 1.0, w, 0.0))
-        absolute = np.convolve(absolute, np.abs(w))
-    return level, (signed, inner, absolute)
+    level = float(np.max(axis_log.real))
+    w = np.exp(axis_log - level)
+    parts = (w, np.where(np.abs(axis_y) <= T - 1.0, w, 0.0), np.abs(w))
+    weights = (np.ones(1),) * 3
+    for _ in range(count):
+        weights = tuple(np.convolve(acc, part) for acc, part in zip(weights, parts))
+    return count * level, weights
 
 
-def _cross_log(terms, classes, anchors, coords, h):
-    """Sum of the factors' sign * log Gamma on the outer grid of the class lattices.
+def _cross_log(terms, anchors, coords, h):
+    """Sum of the joint factors' sign * log Gamma on the outer grid of the variable lattices.
 
-    coords[c] holds the y-sums of class c, an arithmetic sequence of step h
-    from y0[c]. A factor whose class coefficients are integer multiples p_c
-    of the smallest one, b, sees the class indices m_c only through
-    d = sum_c p_c * m_c: its argument is offset + c.anchors + i*(c.y0 + b*h*d).
-    When d takes fewer values than the lattice of the classes it involves has
-    points, log Gamma runs once on that line and the broadcast key d gathers
-    it onto the lattice. Any other factor (ratios that are not integers, a
-    line no shorter than the lattice, a constant) is evaluated on the
-    broadcast lattice sum_c c_c * coords_c.
+    anchors[c] and coords[c] hold the real and imaginary member sums of
+    variable c, the second an arithmetic sequence of step h from y0[c]. A
+    factor whose coefficients are integer multiples p_c of the smallest one,
+    b, sees the lattice indices m_c only through d = sum_c p_c * m_c: its
+    argument is offset + c.anchors + i*(c.y0 + b*h*d). When d takes fewer
+    values than the lattice of the variables it involves has points, log
+    Gamma runs once on that line and the broadcast key d gathers it onto the
+    lattice. Any other factor (ratios that are not integers, a line no
+    shorter than the lattice, a constant) is evaluated on the broadcast
+    lattice sum_c c_c * coords_c.
     """
-    col_of = [members[0] for members in classes]
     sizes = [x.size for x in coords]
     shapes = [[-1 if a == c else 1 for a in range(len(coords))] for c in range(len(coords))]
     y0 = np.array([x[0] for x in coords])
     acc = 0.0
     for term in terms:
-        eff = term.effective_coeffs()
-        col = eff[col_of]
+        col = term.effective_coeffs()
         active = np.flatnonzero(col)
         base = min(col[active], key=abs, default=1.0)
         p = [round(e / base) for e in col]
         exact = all(math.isclose(p_c, e / base, rel_tol=1e-13) for p_c, e in zip(p, col))
         span = sum(abs(p_c) * (k - 1) for p_c, k in zip(p, sizes)) + 1
-        real = term.offset + eff @ anchors
+        real = term.offset + col @ anchors
         if exact and span < math.prod(sizes[c] for c in active):
             steps = [p_c * np.arange(k) for p_c, k in zip(p, sizes)]
             low = sum(s.min() for s in steps)
@@ -325,7 +321,7 @@ def _cross_log(terms, classes, anchors, coords, h):
 
 
 def _contract(x: np.ndarray, weights) -> complex:
-    """sum over the class lattice of x * prod_c weights[c], last axis first.
+    """sum over the variable lattices of x * prod_c weights[c], last axis first.
 
     einsum's own loop, not a BLAS gemv, which pays for waking its threads.
     """
@@ -334,16 +330,16 @@ def _contract(x: np.ndarray, weights) -> complex:
     return complex(x)
 
 
-def _tensor_pass(spec: FoxHSpec, cross, classes, axis_logs, axes_y, h, T):
-    """One equal-weight pass over the tensor grid, summed class by class.
+def _tensor_pass(spec: FoxHSpec, cross, axis_logs, axes_y, h, T):
+    """One equal-weight pass over the tensor grid, summed variable by variable.
 
-    The variables of a class share their column of cross-factor
-    coefficients, and every axis shares the step h, so each cross factor
-    depends on a class's members only through the integer sum of their
-    grid indices. The per-axis weights are convolved within each class,
-    each cross factor is evaluated on the line of its step or at every point
-    of the lattice of the classes it involves (``_cross_log``), and the
-    table is contracted against the class weights. With singleton classes
+    The members of a variable share its joint-factor coefficients, and
+    every axis shares the step h, so each joint factor depends on a
+    variable's members only through the integer sum of their grid indices.
+    The variable's axis weight is convolved once per member, each joint
+    factor is evaluated on the line of its step or at every point of the
+    lattice of the variables it involves (``_cross_log``), and the table is
+    contracted against the variable weights. With one member per variable
     this is the plain tensor sum.
 
     Returns raw sums of exp(log integrand - ref) over the full grid, the
@@ -351,25 +347,20 @@ def _tensor_pass(spec: FoxHSpec, cross, classes, axis_logs, axes_y, h, T):
     cancellation that shrinks the true tail is reflected), and the
     absolute mass; ref is the log level factored out to avoid overflow.
     """
-    anchors = np.asarray(spec.contour_re)
-    ref = 0.0
-    signed, inner, absolute, lattices = [], [], [], []
-    for members in classes:
-        level, (w, w_inner, w_abs) = _class_weights(members, axis_logs, axes_y, T)
-        ref += level
-        signed.append(w)
-        inner.append(w_inner)
-        absolute.append(w_abs)
-        lattices.append(sum(axes_y[i][0] for i in members) + h * np.arange(w.size))
+    anchors = np.multiply(spec.counts, spec.contour_re)
+    weights = [_class_weights(axis_logs[v], axes_y[v], T[v], n) for v, n in enumerate(spec.counts)]
+    ref = sum(level for level, _ in weights)
+    signed, inner, absolute = ([w[k] for _, w in weights] for k in range(3))
+    lattices = [n * y[0] + h * np.arange(w.size) for n, y, w in zip(spec.counts, axes_y, signed)]
     rest = tuple(lat.size for lat in lattices[1:])
 
-    # cross factors are evaluated chunk by chunk along the leading class lattice
+    # joint factors are evaluated chunk by chunk along the leading variable's lattice
     rows = max(1, _CHUNK_ROWS // math.prod(rest))
     levels, sums = [], []
     for start in range(0, lattices[0].size, rows):
         rs = slice(start, start + rows)
         coords = [lattices[0][rs]] + lattices[1:]
-        logx = _cross_log(cross, classes, anchors, coords, h)
+        logx = _cross_log(cross, anchors, coords, h)
         levels.append(float(np.max(np.real(logx))))
         x = np.broadcast_to(np.exp(logx - levels[-1]), (coords[0].size,) + rest)
         sums.append((
@@ -421,14 +412,14 @@ def eval_foxh(spec: FoxHSpec, quad: QuadratureConfig = QuadratureConfig()):
 
     The error estimate is the disagreement of the trapezoid and offset
     midpoint grids, floored at the cancellation noise. Specs with more
-    than MAX_DIMS contour variables are rejected before any evaluation.
+    than MAX_DIMS members are rejected before any evaluation.
     """
-    if spec.num_vars > MAX_DIMS:
-        raise ValueError(f"MAX_DIMS: at most {MAX_DIMS} contour variables, got {spec.num_vars}")
-    per_var, cross, classes = _split_terms(spec)
+    n = sum(spec.counts)
+    if n > MAX_DIMS:
+        raise ValueError(f"MAX_DIMS: at most {MAX_DIMS} contour variables, got {n}")
+    per_var, cross = _split_terms(spec)
     T = _scan_truncation(spec, quad)
     h = _initial_step(spec, quad)
-    n = spec.num_vars
     norm = (2.0 * math.pi) ** n
 
     value = None
@@ -441,7 +432,7 @@ def eval_foxh(spec: FoxHSpec, quad: QuadratureConfig = QuadratureConfig()):
         for shift in (0.0, 0.5):
             axes_y = _make_axes(T, h, shift)
             axis_logs = _axis_logs(spec, per_var, axes_y)
-            results.append(_tensor_pass(spec, cross, classes, axis_logs, axes_y, h, T))
+            results.append(_tensor_pass(spec, cross, axis_logs, axes_y, h, T))
         ref = max(r[3] for r in results)
         scale_log = ref + n * math.log(h) - math.log(norm)
         vals, bands, noises = [], [], []
@@ -502,6 +493,21 @@ def _shift(x: np.ndarray, weights) -> np.ndarray:
     return out
 
 
+def _shift_series(g: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k g[k] S^k x, S the ``_shift`` by weights v. With E_c the unit shift along the longest
+    axis c that v moves and S' the rest of S, g(v_c E_c + S') = sum_l S'^l sum_r C(r+l, l) g[r+l]
+    v_c^r E_c^r: one sliding-window product along axis c per power l of S'."""
+    c = np.argmax(np.where(v != 0, x.shape, 0))
+    size, r = x.shape[c], np.arange(x.shape[c])
+    y = np.moveaxis(x, c, -1)
+    windows = sliding_window_view(np.concatenate([y, np.zeros_like(y[..., 1:])], axis=-1), size, axis=-1)
+    acc = np.zeros_like(x)
+    for l in range(g.size - size, -1, -1):
+        k = g[l : l + size] * comb(r + l, l) * v[c] ** r
+        acc = np.moveaxis(windows @ k, -1, c) + _shift(acc, np.where(np.arange(v.size) == c, 0.0, v))
+    return acc
+
+
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a series leaving the double range is refused
 def leading_residue(spec: FoxHSpec) -> tuple[float, float]:
     """(log |R|, sign of R), R the integrand's residue at the pole tuple nearest the contour
@@ -510,36 +516,31 @@ def leading_residue(spec: FoxHSpec) -> tuple[float, float]:
     A variable's pole is at t = -p, the lower end of its feasible interval
     under its own numerator factors: p is their least offset/coefficient
     with a positive coefficient, and the pole is of order m when m tie.
-    Variables sharing class, own factors and argument form a group of n. With
-    u = t + p, r_j the Taylor coefficients of u^m * (own factors) * z^{-t} and
-    C_k those of the cross factors in the group sums of u,
-        R = sum_k C_k * prod_groups k! [x^k] (sum_{j<m} r_{m-1-j} x^j / j!)^n.
-    Cross factors' linear terms move into the r_j; the rest of each is summed
-    over the scaled lattice k_g <= n_g (m_g - 1) by shifts along its linear
-    form. ValueError: no pole on the left, a cross factor singular there, or a
+    With u = t + p for each of a variable's n members, r_j the Taylor
+    coefficients of u^m * (own factors) * z^{-t} and C_k those of the joint
+    factors in the variables' member sums of u,
+        R = sum_k C_k * prod_variables k! [x^k] (sum_{j<m} r_{m-1-j} x^j / j!)^n.
+    Joint factors' linear terms move into the r_j; the rest of each is summed
+    over the scaled lattice k_v <= n_v (m_v - 1) by shifts along its linear
+    form. ValueError: no pole on the left, a joint factor singular there, or a
     lattice over _MAX_SERIES coefficients or outside the double range.
     """
-    per_var, cross, classes = _split_terms(spec)
-    groups: dict[tuple, list[int]] = {}
-    for c, members in enumerate(classes):
-        for i in members:
-            own = sorted((t.offset, t.orientation * t.coeffs[i], t.sign) for t in per_var[i])
-            groups.setdefault((c, spec.args[i].real, tuple(own)), []).append(i)
-    poles = -np.array([lo for lo, _ in _feasible_intervals(spec.terms, np.zeros(spec.num_vars), cross=False)])
+    per_var, cross = _split_terms(spec)
+    poles = -np.array([lo for lo, _ in _feasible_intervals(spec.terms, np.zeros(spec.num_vars))])
     if np.isinf(poles).any():
         raise ValueError(f"variable {np.isinf(poles).argmax()} has no pole left of the contour")
-    cross_args = [t.offset - t.effective_coeffs() @ poles for t in cross]
+    cross_args = [t.offset - (t.effective_coeffs() * spec.counts) @ poles for t in cross]
     if any(a <= 0 and a == round(a) for a in cross_args):
-        raise ValueError("a cross factor is singular at the leading poles")
+        raise ValueError("a joint factor is singular at the leading poles")
     log_abs = sum(t.sign * gammaln(a) for t, a in zip(cross, cross_args))
     sign = math.prod(gammasgn(a) for a in cross_args)
-    weights, series = [], []
-    for (_, z, own), members in groups.items():
-        i, n, p = members[0], len(members), poles[members[0]]
+    scales, series = [], []
+    for i, (z, n, p) in enumerate(zip(spec.args, spec.counts, poles)):
+        own = sorted((t.offset, t.orientation * t.coeffs[i], t.sign) for t in per_var[i])
         tied = [s == 1 and c > 0 and math.isclose(off / c, p, rel_tol=_TIE_REL, abs_tol=_TIE_REL) for off, c, s in own]
         # u^m * z^{-t} * own factors, where u * Gamma(c*u) = Gamma(1 + c*u) / c
-        const, coef = p * math.log(z), np.zeros(sum(tied) - 1)
-        coef[:1] = sum(t.sign * psi(a) * t.effective_coeffs()[i] for t, a in zip(cross, cross_args)) - math.log(z)
+        const, coef = p * math.log(z.real), np.zeros(sum(tied) - 1)
+        coef[:1] = sum(t.sign * psi(a) * t.effective_coeffs()[i] for t, a in zip(cross, cross_args)) - math.log(z.real)
         for (off, c, s), is_tied in zip(own, tied):
             a = 1.0 if is_tied else off - c * p
             const += s * gammaln(a) - (math.log(c) if is_tied else 0.0)
@@ -548,26 +549,23 @@ def leading_residue(spec: FoxHSpec) -> tuple[float, float]:
         e = _exp_taylor(coef)  # r_j / r_0
         log_abs += n * (const + math.log(abs(e[-1])))
         sign *= math.copysign(1.0, e[-1]) ** n
-        # the group's polynomial over r_{m-1}, at x = y / S with S = n * max_j |d_j|^(1/j)
+        # the variable's polynomial over r_{m-1}, at x = y / S with S = n * max_j |d_j|^(1/j)
         j = np.arange(1, e.size)
         d = e[-2::-1] / (e[-1] * np.cumprod(j))
         scale = n * max(np.abs(d) ** (1.0 / j), default=0.0) or 1.0
-        weights.append((i, scale))
+        scales.append(scale)
         series.append(_power_taylor(d / scale**j, n))
     size = math.prod(q.size for q in series)
     if size > _MAX_SERIES:
         raise ValueError(f"leading-residue series of {size} coefficients exceeds {_MAX_SERIES}")
     lattice = reduce(np.multiply.outer, series)
     for t, a in zip(cross, cross_args):
-        v = np.array([t.effective_coeffs()[i] * s * (q.size > 1) for (i, s), q in zip(weights, series)])
+        v = t.effective_coeffs() * scales * [q.size > 1 for q in series]
         nu = float(np.abs(v).sum())
         if nu:
             coef = t.sign * _log_gamma_taylor(a, nu, sum(q.size - 1 for q, w in zip(series, v) if w))
             g = _exp_taylor(np.r_[0.0, coef[1:]])
-            acc = g[-1] * lattice
-            for g_k in g[-2::-1]:
-                acc = g_k * lattice + _shift(acc, v / nu)
-            lattice = acc
+            lattice = _shift_series(g, v / nu, lattice)
     total = float(lattice.flat[0])
     if not (math.isfinite(log_abs) and math.isfinite(total) and total):
         raise ValueError(f"leading-residue series leaves the double range (log {log_abs}, sum {total})")
@@ -578,11 +576,11 @@ def dump_spec(spec: FoxHSpec, fh) -> None:
     """Write a human-readable description of a spec for diagnosis."""
     intervals = validate_contour(spec)
     fh.write(f"variables: {spec.num_vars}\n")
-    for i, (z, c, (lo, hi)) in enumerate(zip(spec.args, spec.contour_re, intervals)):
+    for i, (z, n, c, (lo, hi)) in enumerate(zip(spec.args, spec.counts, spec.contour_re, intervals)):
         # + 0.0 prints a -0.0 bound as 0
-        fh.write(f"var {i}: arg={z!r} anchor={c:.6g} feasible=({lo + 0.0:.6g}, {hi + 0.0:.6g})\n")
+        fh.write(f"var {i}: arg={z!r} count={n} anchor={c:.6g} feasible=({lo + 0.0:.6g}, {hi + 0.0:.6g})\n")
     for k, term in enumerate(spec.terms):
-        side = "num" if term.sign == 1 else "den"
+        side = ("num" if term.sign == 1 else "den") + (" joint" if term.joint else "")
         sgn = "+" if term.orientation == 1 else "-"
         lin = " ".join(f"{c:g}*t{i}" for i, c in enumerate(term.coeffs) if c != 0.0) or "0"
         fh.write(f"term {k}: {side} Gamma({term.offset:g} {sgn} ({lin}))\n")

@@ -117,10 +117,10 @@ def branch_asymptote(
     log_abs, sign = leading_residue(spec)
     log10 = (logc + log_abs) / math.log(10.0)
     shown = f"{math.copysign(10.0 ** (log10 % 1.0), sign):.4g}e{math.floor(log10):+d}"
+    if log10 < math.log10(sys.float_info.min):  # first: at large N the series' sign is rounding noise
+        raise RuntimeError(f"asymptotic outage {shown} is below the double range")
     if sign < 0 or log10 > 0.0:
         raise RuntimeError(f"asymptotic outage {shown} outside (0, 1]; power too low for the asymptote")
-    if log10 < math.log10(sys.float_info.min):
-        raise RuntimeError(f"asymptotic outage {shown} is below the double range")
     return math.exp(logc + log_abs)
 
 

@@ -197,8 +197,8 @@ def tally(plan: SimPlan, gamma_th: float | None = None, mod=None) -> McTally:
     not depend on the worker count. A threshold of 0 or infinity needs no
     samples, so an outage-only pass at one draws none.
     """
-    if gamma_th is not None and gamma_th < 0:
-        raise ValueError("gamma_th must be nonnegative")
+    if gamma_th is not None and not gamma_th >= 0:
+        raise ValueError(f"gamma_th must be nonnegative, got {gamma_th}")
     count_th = gamma_th if gamma_th is not None and 0 < gamma_th < math.inf else None
     if count_th is None and mod is None:
         return McTally(plan.n_trials, gamma_th, 0, 0.0, 0.0, has_ber=False)

@@ -167,7 +167,8 @@ def test_gamma_cdf_monotone_in_threshold_and_power():
 def test_snr_spec_matches_combined_cdf_term_for_term():
     # The combined CDF at N=1 written out factor by factor from the
     # generalized Gamma factor lists: variable 0 is the element, variable 1
-    # the direct link, each scaled by the alpha a of its second factor.
+    # the direct link, each scaled by the alpha a of its second factor; the
+    # factors that sum the branches are joint.
     g = 2.0
     el, dt = gg_factors(CASCADE), gg_factors(DIRECT)
     a2, ad2 = el[1][0], dt[1][0]
@@ -176,8 +177,8 @@ def test_snr_spec_matches_combined_cdf_term_for_term():
     terms += [GammaTerm(beta, (0.0, ad2 / alpha)) for alpha, beta, _ in dt]
     terms += [
         GammaTerm(0.0, (0.0, ad2 / 2.0), orientation=-1),
-        GammaTerm(0.0, (a2 / 2.0, 0.0), orientation=-1),
-        GammaTerm(0.0, (a2, 0.0), sign=-1, orientation=-1),
+        GammaTerm(0.0, (a2 / 2.0, 0.0), orientation=-1, joint=True),
+        GammaTerm(0.0, (a2, 0.0), sign=-1, orientation=-1, joint=True),
         GammaTerm(1.0, (a2 / 2.0, ad2 / 2.0), sign=-1, orientation=-1),
     ]
 
@@ -270,8 +271,24 @@ def test_heterogeneous_n2_outage_frozen():
     assert outage_exact(stat, 1.0) == pytest.approx(0.10702147639621941, rel=1e-8)
 
 
-def test_snr_spec_refuses_more_variables_than_its_cap():
-    # a spec holds about 5 N^2 coefficients; it is refused before any factor is built
-    cascade, direct = preset_fading("FP1")
-    with pytest.raises(ValueError, match="spec cap"):
-        snr_spec((cascade,) * 1001, direct, budget(default_geometry(), 20.0), "cdf", 1.0)
+@pytest.mark.parametrize("preset", ["FP1", "FP2", "FP3"])
+def test_snr_spec_holds_one_variable_per_element_law(preset):
+    # identical elements are one variable of N members at any N, the direct link one more
+    cascade, direct = preset_fading(preset)
+    for n in (1, 2, 10_000):
+        assert snr_spec((cascade,) * n, direct, BUD, "cdf", 1.0)[1].counts == (n, 1)
+
+
+def test_swapped_hops_share_one_variable():
+    # both hops have alpha2 = 2, so the swapped cascade has the same Mellin layout, factors reordered
+    h1 = DggParams(2, 1, 2, 2, 1, 1)
+    h2 = DggParams(1, 1.5, 2, 2.5, 1.2, 0.9)
+    cascade, swapped = CascadeParams(h1, h2), CascadeParams(h2, h1)
+    bud = LinkBudget(gamma0_ris=3, gamma0_d=2)
+    assert snr_spec((cascade, swapped), DIRECT, bud, "cdf", 1.0)[1].counts == (2, 1)
+
+    def outage(elements):
+        return outage_exact(combined_snr_stat(RisEnsemble(elements, DIRECT), bud), 1.0)
+
+    assert outage((cascade, swapped)) == outage((cascade, cascade))
+    assert outage((swapped, swapped)) == pytest.approx(outage((cascade, cascade)), rel=1e-10)

@@ -189,7 +189,7 @@ def test_cross_term_two_variable_binomial():
 
 def test_cross_term_three_variable_multinomial():
     # Gamma(t1)Gamma(t2)Gamma(t3)Gamma(a - t1 - t2 - t3)/Gamma(a) -> (1 + z1 + z2 + z3)^{-a};
-    # the three variables share one cross column, so they form a single class
+    # with equal arguments, one variable of three members whose own factor is Gamma(t)
     a = 2.3
     terms = (
         GammaTerm(0.0, (1.0, 0.0, 0.0)),
@@ -201,6 +201,10 @@ def test_cross_term_three_variable_multinomial():
     spec = FoxHSpec(args=(0.8, 1.5, 0.3), terms=terms, contour_re=(a / 6,) * 3)
     value, _ = eval_foxh(spec)
     assert value == pytest.approx((1.0 + 0.8 + 1.5 + 0.3) ** -a, rel=1e-7)
+    joint = (GammaTerm(a, (1.0,), orientation=-1, joint=True), GammaTerm(a, (0.0,), sign=-1))
+    spec = FoxHSpec(args=(0.8,), terms=(GammaTerm(0.0, (1.0,)),) + joint, contour_re=(a / 6,), counts=(3,))
+    value, _ = eval_foxh(spec)
+    assert value == pytest.approx((1.0 + 3 * 0.8) ** -a, rel=1e-7)
 
 
 def _log_at(spec: FoxHSpec, y: np.ndarray) -> np.ndarray:
@@ -211,6 +215,24 @@ def _log_at(spec: FoxHSpec, y: np.ndarray) -> np.ndarray:
     for term in spec.terms:
         acc = acc + term.sign * log_gamma(term.offset + t @ term.effective_coeffs())
     return acc
+
+
+def _expand_members(spec: FoxHSpec) -> FoxHSpec:
+    """Reference: the same integral with one variable per member, members in variable order;
+    each member takes its own copy of its variable's own factors, and joint factors span all."""
+    members = [v for v, n in enumerate(spec.counts) for _ in range(n)]
+    per_var, joint = foxh._split_terms(spec)
+    terms = [
+        GammaTerm(t.offset, tuple(t.coeffs[v] * (j == m) for j in range(len(members))), t.sign, t.orientation)
+        for m, v in enumerate(members)
+        for t in per_var[v]
+    ]
+    terms += [GammaTerm(t.offset, tuple(t.coeffs[v] for v in members), t.sign, t.orientation) for t in joint]
+    return FoxHSpec(
+        args=tuple(spec.args[v] for v in members),
+        terms=tuple(terms),
+        contour_re=tuple(spec.contour_re[v] for v in members),
+    )
 
 
 def _probe_scan_truncation(spec: FoxHSpec, quad: QuadratureConfig) -> np.ndarray:
@@ -245,7 +267,8 @@ def _probe_scan_truncation(spec: FoxHSpec, quad: QuadratureConfig) -> np.ndarray
 )
 @pytest.mark.parametrize("preset", ["FP1", "FP2", "FP3"])
 def test_stirling_truncation_matches_probe_scan(preset, n, direct, functional, pt_dbm):
-    # Stirling's log-modulus stands in for the exact integrand on the probe grid
+    # Stirling's log-modulus stands in for the exact integrand on the probe grid;
+    # each variable's T is that of each of its members in the member-expanded spec
     from rislink.channel import budget
     from rislink.config import default_geometry, preset_fading
     from rislink.exact_stats import snr_spec
@@ -254,8 +277,10 @@ def test_stirling_truncation_matches_probe_scan(preset, n, direct, functional, p
     bud = budget(default_geometry(), pt_dbm)
     spec = snr_spec((cascade,) * n, d if direct else None, bud, functional, 1.0)[1]
     quad = QuadratureConfig()
-    T = foxh._scan_truncation(spec, quad)
-    assert np.max(np.abs(T - _probe_scan_truncation(spec, quad))) <= 0.5
+    T = np.repeat(foxh._scan_truncation(spec, quad), spec.counts)
+    full = _expand_members(spec)
+    assert np.array_equal(T, foxh._scan_truncation(full, quad))
+    assert np.max(np.abs(T - _probe_scan_truncation(full, quad))) <= 0.5
 
 
 def test_truncation_keeps_exact_level_of_constant_factors():
@@ -268,17 +293,16 @@ def test_truncation_keeps_exact_level_of_constant_factors():
 
 
 def _assert_pass_matches_point_by_point_sum(monkeypatch, spec, T, h, shift):
-    # Reference: the integrand evaluated at every point of a small tensor
-    # grid; tiny chunks exercise the rescaling between chunks.
-    per_var, cross, classes = foxh._split_terms(spec)
+    # Reference: the member-expanded integrand evaluated at every point of a
+    # small tensor grid; tiny chunks exercise the rescaling between chunks.
+    per_var, cross = foxh._split_terms(spec)
     axes = foxh._make_axes(T, h, shift)
     monkeypatch.setattr(foxh, "_CHUNK_ROWS", 100)
-    total, band, absmass, ref = foxh._tensor_pass(
-        spec, cross, classes, foxh._axis_logs(spec, per_var, axes), axes, h, T
-    )
+    total, band, absmass, ref = foxh._tensor_pass(spec, cross, foxh._axis_logs(spec, per_var, axes), axes, h, T)
 
-    y = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, spec.num_vars)
-    v = np.exp(_log_at(spec, y) - ref)
+    full, T = _expand_members(spec), np.repeat(T, spec.counts)
+    y = np.stack(np.meshgrid(*foxh._make_axes(T, h, shift), indexing="ij"), axis=-1).reshape(-1, full.num_vars)
+    v = np.exp(_log_at(full, y) - ref)
     outer = (np.abs(y) > T - 1.0).any(axis=1)
     assert absmass == pytest.approx(np.abs(v).sum(), rel=1e-12)
     assert abs(total - v.sum()) <= 1e-12 * absmass
@@ -296,7 +320,7 @@ def _combined_cdf_spec(preset, n):
 
 def _heterogeneous_n2_stat():
     # the ensemble of test_heterogeneous_n2_outage_frozen: distinct alpha2,
-    # so every contour variable is its own class
+    # so every element is its own variable
     from rislink.channel import LinkBudget
     from rislink.dgg import CascadeParams, DggParams
     from rislink.exact_stats import RisEnsemble, combined_snr_stat
@@ -316,14 +340,14 @@ def _heterogeneous_n2_cdf_spec():
 
 @pytest.mark.parametrize("shift", [0.0, 0.5])
 def test_class_pass_matches_point_by_point_sum(monkeypatch, shift):
-    # the N=2 CDF spec puts both reflectors in one class
+    # the N=2 CDF spec holds both reflectors in one variable of two members
     spec = _combined_cdf_spec("FP1", 2)
-    assert foxh._split_terms(spec)[2] == [[0, 1], [2]]
-    _assert_pass_matches_point_by_point_sum(monkeypatch, spec, np.array([4.0, 3.0, 5.0]), 0.25, shift)
+    assert spec.counts == (2, 1)
+    _assert_pass_matches_point_by_point_sum(monkeypatch, spec, np.array([4.0, 5.0]), 0.25, shift)
 
 
 def _cross_spec(coeffs, offset):
-    """Gamma(t_1) ... Gamma(t_n) Gamma(offset - sum_i coeffs[i] t_i): one class per variable."""
+    """Gamma(t_1) ... Gamma(t_n) Gamma(offset - sum_i coeffs[i] t_i) over n one-member variables."""
     n = len(coeffs)
     terms = tuple(GammaTerm(0.0, tuple(float(i == j) for j in range(n))) for i in range(n))
     terms += (GammaTerm(offset, tuple(coeffs), orientation=-1),)
@@ -349,15 +373,15 @@ def _cross_spec(coeffs, offset):
     ],
 )
 def test_cross_keys_match_point_by_point_sum(monkeypatch, build, T, shift):
-    # Each cross factor spanning several classes is evaluated once per
+    # Each joint factor spanning several variables is evaluated once per
     # distinct key and gathered onto the lattice, or point by point; every
     # case must give the point-by-point sum: steps 1 : 1/2 and 1/2 : 1 over
-    # two classes, three classes, coefficients 1 : sqrt(2) and 1 : 1.5 (not
+    # two variables, three variables, coefficients 1 : sqrt(2) and 1 : 1.5 (not
     # integer multiples of the smallest), coefficients of opposite sign, step
     # (1, 3, 6), whose one-row chunks of the leading class reach only every
     # third key, and step (1, 8), whose line is longer than its chunk lattice.
     spec = build()
-    assert len(foxh._split_terms(spec)[2]) == len(T)
+    assert spec.num_vars == len(T)
     _assert_pass_matches_point_by_point_sum(monkeypatch, spec, np.array(T), 0.25, shift)
 
 
@@ -375,7 +399,7 @@ def _count_log_gamma(monkeypatch) -> list:
 
 
 def test_identical_n2_outage_evaluates_few_log_gammas(monkeypatch):
-    # A cross factor over several classes sees only an integer combination
+    # A joint factor over several variables sees only an integer combination
     # of their grid indices, so it takes about sum_c |p_c| K_c arguments:
     # 162k elements once per lattice point, 29M point by point. The
     # truncation evaluates log Gamma once, at y = 0: exact probe scans
@@ -394,7 +418,7 @@ def test_identical_n2_outage_evaluates_few_log_gammas(monkeypatch):
 
 
 def test_heterogeneous_n2_outage_evaluates_few_log_gammas(monkeypatch):
-    # three classes: 7.7M elements once per point of the K^3 lattice, 44k
+    # three variables: 7.7M elements once per point of the K^3 lattice, 44k
     # with exact probe scans for the truncation
     from rislink.metrics import outage_exact
 
@@ -450,12 +474,35 @@ def double_pole_pair(z1, z2):
 
 
 def test_leading_residue_of_a_class_matches_quadrature_and_split_class():
-    # one class of two members, or two singleton classes when the arguments differ by 1e-12
+    # one variable of two members, two variables, or two when the arguments differ by 1e-12
     z = 1e-7
-    value = residue(double_pole_pair(z, z))
+    pair = FoxHSpec(
+        args=(z,),
+        terms=(GammaTerm(0.0, (1.0,)),) * 2
+        + (GammaTerm(2.0, (1.0,), joint=True), GammaTerm(3.0, (2.0,), sign=-1, joint=True)),
+        counts=(2,),
+    )
+    value = residue(pair)
+    assert _expand_members(pair) == double_pole_pair(z, z)
+    assert residue(double_pole_pair(z, z)) == pytest.approx(value, rel=1e-14)
     assert residue(double_pole_pair(z, z * (1.0 + 1e-12))) == pytest.approx(value, rel=1e-9)
     exact, _ = eval_foxh(double_pole_pair(z, z), QuadratureConfig(step=0.04, rel_tol=1e-10))
     assert value == pytest.approx(exact, rel=1e-5)
+
+
+@pytest.mark.parametrize(
+    "shape,v", [((7,), (0.6,)), ((6, 3), (0.7, -0.3)), ((2, 5, 3), (0.2, -0.5, 0.0))], ids=["1d", "2d", "3d-one-still"]
+)
+def test_shift_series_matches_horner(shape, v):
+    # Reference: Horner's rule in the shift operator, one _shift per degree; the longest
+    # moved axis takes window products, the others the binomial powers of their shift
+    rng = np.random.default_rng(7)
+    x, v = rng.standard_normal(shape), np.array(v)
+    g = rng.standard_normal(sum(k - 1 for k, w in zip(shape, v) if w) + 1)
+    acc = g[-1] * x
+    for g_k in g[-2::-1]:
+        acc = g_k * x + foxh._shift(acc, v)
+    assert np.max(np.abs(foxh._shift_series(g, v, x) - acc)) <= 1e-12 * np.max(np.abs(acc))
 
 
 def test_leading_residue_needs_a_pole_on_the_left():

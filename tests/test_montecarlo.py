@@ -175,6 +175,13 @@ def test_one_pass_serves_both_quantities():
         tally(plan, mod=MOD).outage()
 
 
+@pytest.mark.parametrize("gamma_th", [-1.0, math.nan])
+def test_negative_or_nan_threshold_rejected(gamma_th):
+    # a NaN threshold compares false with every SNR: it would count no failures
+    with pytest.raises(ValueError, match="nonnegative"):
+        estimate_outage(make_plan(trials=10_000), gamma_th)
+
+
 def test_degenerate_outage_keeps_ber():
     plan = make_plan(pt=60.0, trials=10_000)
     both = tally(plan, 1e-12, MOD)
