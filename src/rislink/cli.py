@@ -87,9 +87,9 @@ def _effective_methods(config: ScenarioConfig, quantities, warnings: list[str]) 
         unavailable.update((m, f"{routes[m]} for scenario '{config.scenario}'") for m in routes if m in methods)
     elif "exact" in methods:
         # MAX_DIMS counts members: one per element, one more for the direct link
-        nvars = len(branches[0]) + (branches[1] is not None)
-        if nvars > MAX_DIMS:
-            unavailable["exact"] = f"{nvars} contour variables exceed MAX_DIMS={MAX_DIMS}"
+        members = len(branches[0]) + (branches[1] is not None)
+        if members > MAX_DIMS:
+            unavailable["exact"] = f"{members} members exceed MAX_DIMS={MAX_DIMS}"
     for method in methods:
         if not any(method in _FILLS[q] for q in quantities):
             unavailable.setdefault(method, f"{method} gives no {' or '.join(quantities)} value")

@@ -14,11 +14,15 @@ variable's argument and its own copy of the variable's single-variable
 ("own") factors; a joint factor sees only the sum of the members' values.
 Own factors are evaluated once per 1-D axis, and on the shared-step grid
 the variable's one axis weight is convolved once per member onto the
-lattice of the members' index sums. Every lattice is an arithmetic
-sequence with the shared step, so a joint factor whose coefficients are
-integer multiples p_c of the smallest one has an argument affine in
-d = sum_c p_c * m_c of the lattice indices m_c: it is evaluated once per
-value of d on a line, not once per lattice point.
+lattice of the members' index sums. The grid sum then eliminates the
+variables along the joint factors' keys: a factor whose coefficients are a
+rational multiple of integer steps p_c reads the lattice indices m_c only
+through d = sum_c p_c * m_c, so its variables merge into one on d, their
+weights convolved after dilation by the steps, when every other factor
+reads them only through d too; a factor left with one variable multiplies
+that variable's weight, log Gamma running once per value of d. Only
+factors that no merge takes (coefficient ratios that are not rational,
+keys that do not nest) are evaluated at every point of a lattice.
 
 Each axis is truncated where Stirling's formula for every Gamma factor
 puts the integrand below the noise threshold along the axes and the two
@@ -54,7 +58,7 @@ __all__ = [
     "dump_spec",
 ]
 
-# The one cap on exact evaluation, in members: each variable's cost a convolution, distinct variables a K^n table.
+# The one cap on exact evaluation, in members: a variable's members and every key merge cost a convolution.
 MAX_DIMS = 3
 # longest half-length of an imaginary axis, and step halvings or
 # truncation extensions before giving up
@@ -282,42 +286,69 @@ def _class_weights(axis_log, axis_y, T, count):
     return count * level, weights
 
 
-def _cross_log(terms, anchors, coords, h):
-    """Sum of the joint factors' sign * log Gamma on the outer grid of the variable lattices.
+def _denominator(r: float, limit: int) -> int | None:
+    """Least q <= limit, among the denominators of r's continued fraction, with q * r an integer
+    within 1e-13 relative; None if there is none."""
+    q_prev, q, x = 0, 1, abs(r)
+    while q <= limit:
+        if abs(q * r - round(q * r)) <= 1e-13 * abs(q * r):
+            return q
+        if x == math.floor(x):
+            return None
+        x = 1.0 / (x - math.floor(x))
+        q_prev, q = q, math.floor(x) * q + q_prev
+    return None
 
-    anchors[c] and coords[c] hold the real and imaginary member sums of
-    variable c, the second an arithmetic sequence of step h from y0[c]. A
-    factor whose coefficients are integer multiples p_c of the smallest one,
-    b, sees the lattice indices m_c only through d = sum_c p_c * m_c: its
-    argument is offset + c.anchors + i*(c.y0 + b*h*d). When d takes fewer
-    values than the lattice of the variables it involves has points, log
-    Gamma runs once on that line and the broadcast key d gathers it onto the
-    lattice. Any other factor (ratios that are not integers, a line no
-    shorter than the lattice, a constant) is evaluated on the broadcast
-    lattice sum_c c_c * coords_c.
-    """
-    sizes = [x.size for x in coords]
-    shapes = [[-1 if a == c else 1 for a in range(len(coords))] for c in range(len(coords))]
-    y0 = np.array([x[0] for x in coords])
-    acc = 0.0
-    for term in terms:
-        col = term.effective_coeffs()
-        active = np.flatnonzero(col)
-        base = min(col[active], key=abs, default=1.0)
-        p = [round(e / base) for e in col]
-        exact = all(math.isclose(p_c, e / base, rel_tol=1e-13) for p_c, e in zip(p, col))
-        span = sum(abs(p_c) * (k - 1) for p_c, k in zip(p, sizes)) + 1
-        real = term.offset + col @ anchors
-        if exact and span < math.prod(sizes[c] for c in active):
-            steps = [p_c * np.arange(k) for p_c, k in zip(p, sizes)]
-            low = sum(s.min() for s in steps)
-            key = sum((s - s.min()).reshape(shape) for p_c, s, shape in zip(p, steps, shapes) if p_c)
-            line = term.sign * log_gamma(real + 1j * (col @ y0 + base * h * np.arange(low, low + span)))
-            acc = acc + line[key]
-        else:
-            imag = sum(e * x.reshape(shape) for e, x, shape in zip(col, coords, shapes) if e)
-            acc = acc + term.sign * log_gamma(real + 1j * imag)
-    return acc
+
+def _merge_key(cols: np.ndarray, sizes):
+    """(S, p, lam) for the first factor, fewest variables first, whose coefficients are a multiple of
+    integer steps p on the variables S it reads, when its key d = sum_c p_c * m_c spans fewer values
+    than the lattice of S has points and every factor's coefficients on S are lam times p (it reads S
+    only through d); None when no factor qualifies."""
+    for col in sorted(cols, key=np.count_nonzero):
+        S = np.flatnonzero(col)
+        ratios = col[S] / min(col[S], key=abs)
+        lattice = math.prod(np.take(sizes, S))
+        # every |ratio| >= 1, so past a denominator of `lattice` the key spans more values than the lattice has points
+        denominators = [_denominator(r, lattice) for r in ratios]
+        if None in denominators:
+            continue
+        p = np.round(ratios * math.lcm(*denominators))
+        if np.abs(p) @ (np.take(sizes, S) - 1) + 1 >= lattice:
+            continue
+        lam = cols[:, S[0]] / p[0]
+        if np.all(np.abs(cols[:, S] - np.outer(lam, p)) <= 1e-13 * np.abs(cols[:, S])):
+            return S, p.astype(int), lam
+    return None
+
+
+def _dilate(w: np.ndarray, p: int) -> np.ndarray:
+    """w at every |p|-th point, reversed for p < 0: the weight of key p*m, shifted to start at 0."""
+    out = np.zeros((w.size - 1) * abs(p) + 1, dtype=w.dtype)
+    out[:: abs(p)] = w if p > 0 else w[::-1]
+    return out
+
+
+def _fold(sets, signs, origins, cols, h) -> float:
+    """Multiply each variable's weights by the factors that read only it, a factor of no variable
+    going to the first; returns the log level factored out, the weights' absolute maximum kept at 1."""
+    if not signs.size:
+        return 0.0
+    homes = (cols != 0.0).argmax(axis=1)
+    args = [z0 + 1j * h * c[v] * np.arange(sets[v][0].size if c[v] else 1) for z0, c, v in zip(origins, cols, homes)]
+    logs = np.split(log_gamma(np.concatenate(args)), np.cumsum([a.size for a in args])[:-1])
+    lines = {}
+    for s, v, line in zip(signs, homes, logs):
+        lines[v] = lines.get(v, 0.0) + s * line
+    ref = 0.0
+    for v, line in lines.items():
+        level = float(np.max(line.real))
+        x = np.exp(line - level)
+        signed, inner, absolute = sets[v][0] * x, sets[v][1] * x, sets[v][2] * np.abs(x)
+        scale = float(absolute.max())
+        sets[v] = [signed / scale, inner / scale, absolute / scale]
+        ref += level + math.log(scale)
+    return ref
 
 
 def _contract(x: np.ndarray, weights) -> complex:
@@ -330,39 +361,27 @@ def _contract(x: np.ndarray, weights) -> complex:
     return complex(x)
 
 
-def _tensor_pass(spec: FoxHSpec, cross, axis_logs, axes_y, h, T):
-    """One equal-weight pass over the tensor grid, summed variable by variable.
+def _lattice_sum(signs, origins, cols, sets, h):
+    """The weighted sums over the broadcast lattice of the variables, with the joint factors
+    evaluated at every lattice point, chunk by chunk along the first variable.
 
-    The members of a variable share its joint-factor coefficients, and
-    every axis shares the step h, so each joint factor depends on a
-    variable's members only through the integer sum of their grid indices.
-    The variable's axis weight is convolved once per member, each joint
-    factor is evaluated on the line of its step or at every point of the
-    lattice of the variables it involves (``_cross_log``), and the table is
-    contracted against the variable weights. With one member per variable
-    this is the plain tensor sum.
-
-    Returns raw sums of exp(log integrand - ref) over the full grid, the
-    outer band (any |y_i| > T_i - 1, kept *signed* so the oscillatory
-    cancellation that shrinks the true tail is reflected), and the
-    absolute mass; ref is the log level factored out to avoid overflow.
+    Returns the total, in-box and absolute sums and the log level factored out of them.
     """
-    anchors = np.multiply(spec.counts, spec.contour_re)
-    weights = [_class_weights(axis_logs[v], axes_y[v], T[v], n) for v, n in enumerate(spec.counts)]
-    ref = sum(level for level, _ in weights)
-    signed, inner, absolute = ([w[k] for _, w in weights] for k in range(3))
-    lattices = [n * y[0] + h * np.arange(w.size) for n, y, w in zip(spec.counts, axes_y, signed)]
-    rest = tuple(lat.size for lat in lattices[1:])
-
-    # joint factors are evaluated chunk by chunk along the leading variable's lattice
+    sizes = [w[0].size for w in sets]
+    grids = [np.arange(k).reshape([-1 if a == c else 1 for a in range(len(sizes))]) for c, k in enumerate(sizes)]
+    rest = tuple(sizes[1:])
     rows = max(1, _CHUNK_ROWS // math.prod(rest))
+    signed, inner, absolute = ([w[k] for w in sets] for k in range(3))
     levels, sums = [], []
-    for start in range(0, lattices[0].size, rows):
+    for start in range(0, sizes[0], rows):
         rs = slice(start, start + rows)
-        coords = [lattices[0][rs]] + lattices[1:]
-        logx = _cross_log(cross, anchors, coords, h)
+        index = [grids[0][rs]] + grids[1:]
+        logx = sum(
+            s * log_gamma(z0 + 1j * h * sum(e * m for e, m in zip(col, index) if e))
+            for s, z0, col in zip(signs, origins, cols)
+        )
         levels.append(float(np.max(np.real(logx))))
-        x = np.broadcast_to(np.exp(logx - levels[-1]), (coords[0].size,) + rest)
+        x = np.broadcast_to(np.exp(logx - levels[-1]), (index[0].size,) + rest)
         sums.append((
             _contract(x, [signed[0][rs]] + signed[1:]),
             _contract(x, [inner[0][rs]] + inner[1:]),
@@ -370,8 +389,60 @@ def _tensor_pass(spec: FoxHSpec, cross, axis_logs, axes_y, h, T):
         ))
     top = max(levels)
     sums = np.array(sums) * np.exp(np.array(levels) - top)[:, None]
-    total, in_box, absmass = (complex(math.fsum(s.real), math.fsum(s.imag)) for s in sums.T)
-    return total, total - in_box, absmass.real, ref + top
+    return [complex(math.fsum(s.real), math.fsum(s.imag)) for s in sums.T], top
+
+
+def _tensor_pass(spec: FoxHSpec, cross, axis_logs, axes_y, h, T):
+    """One equal-weight pass over the tensor grid, by elimination of the variables.
+
+    Each variable's axis weight is convolved once per member onto the lattice
+    of the members' index sums. Until no joint factor is left, the factors
+    that read at most one variable fold into its weights (``_fold``), and the
+    variables of a factor whose key nests in every other factor merge into
+    one variable on that key (``_merge_key``, ``_dilate``); the sums are then
+    products of the weight sums. Factors that no merge takes are summed point
+    by point (``_lattice_sum``). With one member per variable this is the
+    plain tensor sum.
+
+    Returns raw sums of exp(log integrand - ref) over the full grid, the
+    outer band (any |y_i| > T_i - 1, kept *signed* so the oscillatory
+    cancellation that shrinks the true tail is reflected), and the
+    absolute mass; ref is the log level factored out to avoid overflow.
+    """
+    weights = [_class_weights(axis_logs[v], axes_y[v], T[v], n) for v, n in enumerate(spec.counts)]
+    ref = sum(level for level, _ in weights)
+    sets = [list(w) for _, w in weights]  # signed, inner-box and absolute weights of each variable
+    # each joint factor's sign, argument at the lattice origin and coefficients per lattice index
+    signs = np.array([t.sign for t in cross])
+    cols = np.array([t.effective_coeffs() for t in cross]).reshape(len(cross), spec.num_vars)
+    y0 = [n * y[0] for n, y in zip(spec.counts, axes_y)]
+    origins = np.array([t.offset for t in cross]) + cols @ np.multiply(spec.counts, spec.contour_re) + 1j * cols @ y0
+    while True:
+        fold = np.count_nonzero(cols, axis=1) <= 1
+        ref += _fold(sets, signs[fold], origins[fold], cols[fold], h)
+        signs, origins, cols = signs[~fold], origins[~fold], cols[~fold]
+        sizes = [w[0].size for w in sets]
+        key = _merge_key(cols, sizes) if signs.size else None
+        if key is None:
+            break
+        S, p, lam = key
+        # the merged variable's index 0 is the least key
+        origins = origins + 1j * h * lam * sum(p_c * (sizes[c] - 1) for c, p_c in zip(S, p) if p_c < 0)
+        merged = [reduce(np.convolve, [_dilate(sets[c][k], p_c) for c, p_c in zip(S, p)]) for k in range(3)]
+        sets = [w for c, w in enumerate(sets) if c not in S] + [merged]
+        cols = np.column_stack([np.delete(cols, S, axis=1), lam])
+    # a variable no factor reads contributes its weight sums
+    read = cols.any(axis=0)
+    sums = np.ones(3, dtype=complex)
+    for w, r in zip(sets, read):
+        if not r:
+            sums *= [x.sum() for x in w]
+    if signs.size:
+        totals, level = _lattice_sum(signs, origins, cols[:, read], [w for w, r in zip(sets, read) if r], h)
+        sums *= totals
+        ref += level
+    total, in_box, absmass = sums
+    return total, total - in_box, absmass.real, ref
 
 
 def _make_axes(T: np.ndarray, h: float, shift: float = 0.0):
@@ -416,7 +487,7 @@ def eval_foxh(spec: FoxHSpec, quad: QuadratureConfig = QuadratureConfig()):
     """
     n = sum(spec.counts)
     if n > MAX_DIMS:
-        raise ValueError(f"MAX_DIMS: at most {MAX_DIMS} contour variables, got {n}")
+        raise ValueError(f"MAX_DIMS: at most {MAX_DIMS} members, got {n}")
     per_var, cross = _split_terms(spec)
     T = _scan_truncation(spec, quad)
     h = _initial_step(spec, quad)

@@ -419,13 +419,90 @@ def test_identical_n2_outage_evaluates_few_log_gammas(monkeypatch):
 
 def test_heterogeneous_n2_outage_evaluates_few_log_gammas(monkeypatch):
     # three variables: 7.7M elements once per point of the K^3 lattice, 44k
-    # with exact probe scans for the truncation
+    # with exact probe scans for the truncation, 31k with each cross factor
+    # gathered from its line onto the lattice; about 6.7k merged along the keys
     from rislink.metrics import outage_exact
 
     stat = _heterogeneous_n2_stat()
     counted = _count_log_gamma(monkeypatch)
     assert 0.0 < outage_exact(stat, 1.0) < 1.0
-    assert sum(counted) < 35_000
+    assert sum(counted) < 8_000
+
+
+def _ensemble_stat(elements, direct):
+    from rislink.channel import budget
+    from rislink.config import default_geometry
+    from rislink.exact_stats import RisEnsemble, combined_snr_stat
+
+    return combined_snr_stat(RisEnsemble(elements, direct), budget(default_geometry(), 20.0))
+
+
+def _heterogeneous_beta_n2_stat():
+    # an FP1 cascade beside one with hop1.beta1 scaled by 1.5: two element
+    # variables with equal alpha2, so one amplitude-sum key of steps (1, 1)
+    import dataclasses
+
+    from rislink.config import preset_fading
+
+    cascade, direct = preset_fading("FP1")
+    other = dataclasses.replace(cascade, hop1=dataclasses.replace(cascade.hop1, beta1=1.5 * cascade.hop1.beta1))
+    return _ensemble_stat((cascade, other), direct)
+
+
+def _ratio_2_3_n2_stat():
+    # element alpha2 2 beside direct alpha2 3: the SNR-sum key has steps (2, 3)
+    import dataclasses
+
+    from rislink.config import preset_fading
+
+    cascade, direct = preset_fading("FP1")
+    return _ensemble_stat((cascade,) * 2, dataclasses.replace(direct, alpha2=3.0))
+
+
+def test_heterogeneous_beta_n2_outage_evaluates_few_log_gammas(monkeypatch):
+    # the K^3 lattice took 52k elements and 0.9 s; merged along the keys, about 7.2k
+    from rislink.metrics import outage_exact
+
+    stat = _heterogeneous_beta_n2_stat()
+    counted = _count_log_gamma(monkeypatch)
+    assert outage_exact(stat, 1.0) == pytest.approx(0.1178469876591445, rel=1e-9)
+    assert sum(counted) < 8_000
+
+
+def _snr_spec_cases():
+    from rislink.config import preset_fading
+
+    for preset in ("FP1", "FP2", "FP3"):
+        cascade, direct = preset_fading(preset)
+        yield f"{preset}-dt_only", (), direct
+        for n in (1, 2):
+            yield f"{preset}-combined-n{n}", (cascade,) * n, direct
+        for n in (1, 2, 3):
+            yield f"{preset}-ris_only-n{n}", (cascade,) * n, None
+    for name, build in (
+        ("heterogeneous-n2", _heterogeneous_n2_stat),
+        ("heterogeneous-beta-n2", _heterogeneous_beta_n2_stat),
+        ("ratio-2-3-n2", _ratio_2_3_n2_stat),
+    ):
+        stat = build()
+        yield name, stat.ensemble.elements, stat.ensemble.direct
+
+
+@pytest.mark.parametrize("functional", ["pdf", "cdf", "ber", "mgf"])
+def test_snr_spec_never_evaluates_the_lattice(monkeypatch, functional):
+    # every joint factor snr_spec writes is eliminated along its key: the
+    # reflected-sum key nests in the SNR-sum key, with rational steps
+    from rislink.channel import budget
+    from rislink.config import default_geometry
+    from rislink.exact_stats import snr_functional
+
+    def no_lattice(*args):
+        raise AssertionError("joint factors evaluated point by point")
+
+    monkeypatch.setattr(foxh, "_lattice_sum", no_lattice)
+    bud = budget(default_geometry(), 20.0)
+    for name, elements, direct in _snr_spec_cases():
+        assert math.isfinite(snr_functional(elements, direct, bud, functional, 1.0)), name
 
 
 def test_more_than_max_dims_rejected_before_evaluation(monkeypatch):
