@@ -295,10 +295,9 @@ def test_truncation_keeps_exact_level_of_constant_factors():
 def _assert_pass_matches_point_by_point_sum(monkeypatch, spec, T, h, shift):
     # Reference: the member-expanded integrand evaluated at every point of a
     # small tensor grid; tiny chunks exercise the rescaling between chunks.
-    per_var, cross = foxh._split_terms(spec)
     axes = foxh._make_axes(T, h, shift)
     monkeypatch.setattr(foxh, "_CHUNK_ROWS", 100)
-    total, band, absmass, ref = foxh._tensor_pass(spec, cross, foxh._axis_logs(spec, per_var, axes), axes, h, T)
+    total, band, absmass, ref = foxh._tensor_pass(spec, axes, h, T)
 
     full, T = _expand_members(spec), np.repeat(T, spec.counts)
     y = np.stack(np.meshgrid(*foxh._make_axes(T, h, shift), indexing="ij"), axis=-1).reshape(-1, full.num_vars)
@@ -356,33 +355,44 @@ def _cross_spec(coeffs, offset):
 
 @pytest.mark.parametrize("shift", [0.0, 0.5])
 @pytest.mark.parametrize(
-    "build,T",
+    "build,T,point_by_point",
     [
-        (lambda: _combined_cdf_spec("FP1", 1), [4.0, 5.0]),
-        (lambda: _combined_cdf_spec("FP2", 1), [4.0, 5.0]),
-        (_heterogeneous_n2_cdf_spec, [4.0, 3.0, 5.0]),
-        (lambda: _cross_spec((1.0, math.sqrt(2.0)), 2.3), [4.0, 5.0]),
-        (lambda: _cross_spec((1.0, 1.5), 2.3), [4.0, 5.0]),
-        (lambda: _cross_spec((1.0, -0.5), 2.3), [4.0, 5.0]),
-        (lambda: _cross_spec((1.0, 3.0, 6.0), 5.8), [4.0, 3.0, 5.0]),
-        (lambda: _cross_spec((1.0, 8.0), 5.3), [4.0, 5.0]),
+        (lambda: _combined_cdf_spec("FP1", 1), [4.0, 5.0], False),
+        (lambda: _combined_cdf_spec("FP2", 1), [4.0, 5.0], False),
+        (_heterogeneous_n2_cdf_spec, [4.0, 3.0, 5.0], False),
+        (lambda: _cross_spec((1.0, math.sqrt(2.0)), 2.3), [4.0, 5.0], True),
+        (lambda: _cross_spec((1.0, 1.5), 2.3), [4.0, 5.0], False),
+        (lambda: _cross_spec((1.0, -0.5), 2.3), [4.0, 5.0], False),
+        (lambda: _cross_spec((1.0, 3.0, 6.0), 5.8), [4.0, 3.0, 5.0], False),
+        (lambda: _cross_spec((1.0, 8.0), 5.3), [4.0, 5.0], False),
     ],
     ids=[
         "fp1-n1", "fp2-n1", "heterogeneous-n2", "irrational-flat-key", "ratio-2-3-flat-key", "mixed-sign",
-        "gapped-keys", "line-longer-than-chunk",
+        "steps-1-3-6", "steps-1-8",
     ],
 )
-def test_cross_keys_match_point_by_point_sum(monkeypatch, build, T, shift):
-    # Each joint factor spanning several variables is evaluated once per
-    # distinct key and gathered onto the lattice, or point by point; every
-    # case must give the point-by-point sum: steps 1 : 1/2 and 1/2 : 1 over
-    # two variables, three variables, coefficients 1 : sqrt(2) and 1 : 1.5 (not
-    # integer multiples of the smallest), coefficients of opposite sign, step
-    # (1, 3, 6), whose one-row chunks of the leading class reach only every
-    # third key, and step (1, 8), whose line is longer than its chunk lattice.
+def test_cross_keys_match_point_by_point_sum(monkeypatch, build, T, point_by_point, shift):
+    # A joint factor spanning several variables merges them into one on its
+    # key, their weights convolved after dilation by the key's steps, or is
+    # summed point by point when its coefficient ratios are not rational;
+    # every case must give the point-by-point sum: steps 1 : 1/2 and 1/2 : 1
+    # over two variables, three variables, coefficients 1 : sqrt(2) (the one
+    # case summed point by point) and 1 : 1.5 (steps 2 : 3), coefficients of
+    # opposite sign (a reversed dilation), steps (1, 3, 6), whose dilated
+    # weights leave gaps between keys, and steps (1, 8), whose key spans
+    # more values than both axes have points.
     spec = build()
     assert spec.num_vars == len(T)
+    calls = []
+    real_lattice_sum = foxh._lattice_sum
+
+    def counting(*args):
+        calls.append(len(args))
+        return real_lattice_sum(*args)
+
+    monkeypatch.setattr(foxh, "_lattice_sum", counting)
     _assert_pass_matches_point_by_point_sum(monkeypatch, spec, np.array(T), 0.25, shift)
+    assert bool(calls) == point_by_point
 
 
 def _count_log_gamma(monkeypatch) -> list:
@@ -403,7 +413,9 @@ def test_identical_n2_outage_evaluates_few_log_gammas(monkeypatch):
     # of their grid indices, so it takes about sum_c |p_c| K_c arguments:
     # 162k elements once per lattice point, 29M point by point. The
     # truncation evaluates log Gamma once, at y = 0: exact probe scans
-    # made 95 of 128 calls and 12.9k of 19.9k elements.
+    # made 95 of 128 calls and 12.9k of 19.9k elements. Each fold makes one
+    # call per variable it multiplies: 9 calls, against 21 with one call per
+    # own factor and axis.
     from rislink.channel import budget
     from rislink.config import default_geometry, preset_fading
     from rislink.exact_stats import RisEnsemble, combined_snr_stat
@@ -414,7 +426,7 @@ def test_identical_n2_outage_evaluates_few_log_gammas(monkeypatch):
     counted = _count_log_gamma(monkeypatch)
     assert 0.0 < outage_exact(stat, 1.0) < 1.0
     assert sum(counted) < 8_000
-    assert len(counted) < 40
+    assert len(counted) < 12
 
 
 def test_heterogeneous_n2_outage_evaluates_few_log_gammas(monkeypatch):
