@@ -38,7 +38,7 @@ from .foxh import (
     eval_foxh,
 )
 from .metrics import ModulationParams, branch_asymptote, branch_ber, branch_diversity, branch_outage
-from .montecarlo import SimPlan, tally
+from .montecarlo import SimPlan, tally_sweep
 
 __all__ = ["CurveResult", "run_sweep", "emit_csv", "main"]
 
@@ -120,24 +120,19 @@ def run_sweep(config: ScenarioConfig, quantity: str = "outage") -> CurveResult:
     columns = ["pt_dbm"] + [c for pair in pairs for c in _columns(*pair)]
     mod = ModulationParams(config.modulation_a, config.modulation_b)
 
+    pts = sorted(config.pt_dbm)
+    mcs = [None] * len(pts)
+    if "mc" in methods:
+        # One simulation pass serves both quantities at every power.
+        mcs = tally_sweep(
+            [SimPlan(config.system, pt, config.mc_trials, config.mc_seed, config.scenario) for pt in pts],
+            gamma_th=config.gamma_th if "outage" in quantities else None,
+            mod=mod if "ber" in quantities else None,
+        )
     rows = []
-    for pt in sorted(config.pt_dbm):
+    for pt, mc in zip(pts, mcs):
         cells: dict[str, float] = {"pt_dbm": pt}
         bud = budget(config.system.geometry, pt, config.system.noise_dbm)
-        mc = None
-        if "mc" in methods:
-            # One simulation pass serves both quantities.
-            mc = tally(
-                SimPlan(
-                    config=config.system,
-                    pt_dbm=pt,
-                    n_trials=config.mc_trials,
-                    master_seed=config.mc_seed,
-                    scenario=config.scenario,
-                ),
-                gamma_th=config.gamma_th if "outage" in quantities else None,
-                mod=mod if "ber" in quantities else None,
-            )
         for q, m in pairs:
             names = _columns(q, m)
             try:

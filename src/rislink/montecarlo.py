@@ -5,14 +5,18 @@ contour-integral evaluator. Work is split into fixed-size units, each
 with its own seed derived from (master_seed, unit index), so estimates
 are bit-reproducible. Units run side by side on the available CPUs and
 their sums are combined in unit order, so estimates do not depend on the
-number of CPUs.
+number of CPUs. A transmit-power sweep draws each unit's channel gains
+once and scales them to every power, so all powers of one sweep share
+those draws: each estimate equals that of a one-power run, and their
+Monte-Carlo errors are correlated across the sweep.
 """
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import erfc
@@ -29,6 +33,7 @@ __all__ = [
     "DegenerateEstimate",
     "simulate_snr",
     "tally",
+    "tally_sweep",
     "estimate_outage",
     "estimate_ber",
 ]
@@ -76,39 +81,58 @@ class McEstimate:
 
 
 def simulate_snr(plan: SimPlan, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n end-to-end SNR realizations for the plan's scenario.
+    """Draw n end-to-end SNR realizations for the plan's scenario."""
+    gains = _draw_gains(plan, rng, n)
+    return _snr(gains, *_scales(plan), out=gains)
 
-    Element amplitudes are drawn first, then the direct one. Each in-place
-    step is the written-out formula's operation on the same operands, so
-    the values are bit-identical to it.
+
+def _draw_gains(plan: SimPlan, rng: np.random.Generator, n: int) -> list[np.ndarray]:
+    """Unscaled power gains (squared amplitudes) of n trials, one buffer per branch.
+
+    The summed element amplitude R is drawn first, then the direct
+    amplitude D; the relay's two hop amplitudes in hop order. Squaring
+    does not depend on the transmit power, so it is done here, in place.
     """
     config = plan.config
     branches = config.branches(plan.scenario)
     if branches is None:  # the decode-and-forward relay
-        g1, g2 = relay_hop_budgets(config.geometry, plan.pt_dbm, config.noise_dbm)
         hops = config.elements[0]
-        snr1 = _scaled_square(g1, dgg_sample(hops.hop1, rng, n))
-        snr2 = _scaled_square(g2, dgg_sample(hops.hop2, rng, n))
-        return np.minimum(snr1, snr2, out=snr1)
+        amplitudes = [dgg_sample(hops.hop1, rng, n), dgg_sample(hops.hop2, rng, n)]
+    else:
+        elements, direct = branches
+        amplitudes = []
+        if elements:
+            r = np.zeros(n)
+            for cascade in elements:
+                r += cascade_sample(cascade, rng, n)
+            amplitudes.append(r)
+        if direct is not None:
+            amplitudes.append(dgg_sample(direct, rng, n))
+    for x in amplitudes:
+        x **= 2
+    return amplitudes
+
+
+def _scales(plan: SimPlan) -> tuple[tuple[float, ...], np.ufunc]:
+    """The average-SNR scale of each branch _draw_gains draws, at the plan's power,
+    and the ufunc that joins the scaled branches: np.minimum for the relay, np.add otherwise."""
+    config = plan.config
+    branches = config.branches(plan.scenario)
+    if branches is None:
+        return relay_hop_budgets(config.geometry, plan.pt_dbm, config.noise_dbm), np.minimum
     elements, direct = branches
     bud = budget(config.geometry, plan.pt_dbm, config.noise_dbm)
-    snr = None
-    if elements:
-        snr = np.zeros(n)
-        for cascade in elements:
-            snr += cascade_sample(cascade, rng, n)
-        _scaled_square(bud.gamma0_ris, snr)
-    if direct is not None:
-        snr_d = _scaled_square(bud.gamma0_d, dgg_sample(direct, rng, n))
-        snr = snr_d if snr is None else np.add(snr, snr_d, out=snr)
+    return (bud.gamma0_ris,) * bool(elements) + (bud.gamma0_d,) * (direct is not None), np.add
+
+
+def _snr(gains: list[np.ndarray], scales: tuple[float, ...], join: np.ufunc, out: list[np.ndarray]) -> np.ndarray:
+    """join over the branches of scale * gain, computed in the buffers of out (gains itself, or
+    spare buffers that leave gains for another power). Each step is the written-out formula's
+    operation on the same operands, so the values are bit-identical to it."""
+    snr, *rest = [np.multiply(g, s, out=o) for g, s, o in zip(gains, scales, out)]
+    for part in rest:
+        join(snr, part, out=snr)
     return snr
-
-
-def _scaled_square(scale: float, x: np.ndarray) -> np.ndarray:
-    """scale * x**2, computed in x."""
-    x **= 2
-    x *= scale
-    return x
 
 
 def _cpu_count() -> int:
@@ -119,16 +143,32 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _unit_tally(plan: SimPlan, unit: int, n: int, gamma_th: float | None, mod) -> tuple[int, float, float]:
-    """(failures, error sum, squared-error sum) of one seeding unit.
+def _unit_sums(
+    plan: SimPlan, scalings, unit: int, n: int, gamma_th: float | None, mod
+) -> list[tuple[int, float, float]]:
+    """_snr_sums of one seeding unit of the plan at each power's (scales, join) in scalings.
 
-    The unit's stream depends only on (master_seed, unit). Failures are
-    counted only when gamma_th is given, the conditional error
-    a*Q(sqrt(2*b*snr)) is summed only when mod is; the error is computed
-    in the SNR buffer.
+    The unit's stream depends only on (master_seed, unit), and its gains
+    are drawn once for every power. The last power computes its SNR in the
+    gain buffers, the others in one spare buffer per branch.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=plan.master_seed, spawn_key=(unit,)))
-    snr = simulate_snr(plan, rng, n)
+    gains = _draw_gains(plan, rng, n)
+    spare = [np.empty(n) for _ in gains] if len(scalings) > 1 else None
+    last = len(scalings) - 1
+    return [
+        _snr_sums(_snr(gains, *scaling, out=gains if i == last else spare), gamma_th, mod)
+        for i, scaling in enumerate(scalings)
+    ]
+
+
+def _snr_sums(snr: np.ndarray, gamma_th: float | None, mod) -> tuple[int, float, float]:
+    """(failures, error sum, squared-error sum) of the SNR samples.
+
+    Failures are counted only when gamma_th is given, the conditional
+    error a*Q(sqrt(2*b*snr)) is summed only when mod is; the error is
+    computed in the SNR buffer.
+    """
     failures = 0
     if gamma_th is not None:
         failures = int(np.count_nonzero(snr <= gamma_th))
@@ -189,39 +229,56 @@ class McTally:
         return McEstimate(mean=mean, std_error=math.sqrt(var / n), n=n)
 
 
-def tally(plan: SimPlan, gamma_th: float | None = None, mod=None) -> McTally:
-    """Simulate the plan once for its outage count at gamma_th and/or its BER sums.
+def tally_sweep(plans: Iterable[SimPlan], gamma_th: float | None = None, mod=None) -> tuple[McTally, ...]:
+    """Simulate a sweep once for its outage counts at gamma_th and/or its BER sums, one tally per plan.
 
-    Units run on a thread pool of one worker per available CPU (at most
-    one per unit); the sums are combined in unit order, so the result does
-    not depend on the worker count. A threshold of 0 or infinity needs no
-    samples, so an outage-only pass at one draws none.
+    The plans may differ only in pt_dbm. Each seeding unit draws its gains
+    once and evaluates every power from them, so the tallies equal those
+    of one pass per plan, bit for bit, and their Monte-Carlo errors are
+    correlated. Units run on one thread pool of a worker per available
+    CPU (at most one per unit); the sums are combined in unit order, so
+    the result does not depend on the worker count. A threshold of 0 or
+    infinity needs no samples, so an outage-only pass at one draws none.
     """
+    plans = tuple(plans)
+    if any(replace(p, pt_dbm=plans[0].pt_dbm) != plans[0] for p in plans):
+        raise ValueError("the plans of one sweep may differ only in pt_dbm")
     if gamma_th is not None and not gamma_th >= 0:
         raise ValueError(f"gamma_th must be nonnegative, got {gamma_th}")
+    n_trials = plans[0].n_trials
     count_th = gamma_th if gamma_th is not None and 0 < gamma_th < math.inf else None
     if count_th is None and mod is None:
-        return McTally(plan.n_trials, gamma_th, 0, 0.0, 0.0, has_ber=False)
-    full, rem = divmod(plan.n_trials, UNIT_TRIALS)
+        return (McTally(n_trials, gamma_th, 0, 0.0, 0.0, has_ber=False),) * len(plans)
+    full, rem = divmod(n_trials, UNIT_TRIALS)
     sizes = [UNIT_TRIALS] * full + ([rem] if rem else [])
+    scalings = [_scales(p) for p in plans]
 
-    def run(unit: int) -> tuple[int, float, float]:
-        return _unit_tally(plan, unit, sizes[unit], count_th, mod)
+    def run(unit: int) -> list[tuple[int, float, float]]:
+        return _unit_sums(plans[0], scalings, unit, sizes[unit], count_th, mod)
 
     workers = min(_cpu_count(), len(sizes))
     if workers == 1:
-        parts = [run(unit) for unit in range(len(sizes))]
+        units = [run(unit) for unit in range(len(sizes))]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, range(len(sizes))))
-    return McTally(
-        n=plan.n_trials,
-        gamma_th=gamma_th,
-        failures=sum(f for f, _, _ in parts),
-        err_sum=math.fsum(s for _, s, _ in parts),
-        err_sq_sum=math.fsum(q for _, _, q in parts),
-        has_ber=mod is not None,
+            units = list(pool.map(run, range(len(sizes))))
+    return tuple(
+        McTally(
+            n=n_trials,
+            gamma_th=gamma_th,
+            failures=sum(f for f, _, _ in parts),
+            err_sum=math.fsum(s for _, s, _ in parts),
+            err_sq_sum=math.fsum(q for _, _, q in parts),
+            has_ber=mod is not None,
+        )
+        for parts in zip(*units)
     )
+
+
+def tally(plan: SimPlan, gamma_th: float | None = None, mod=None) -> McTally:
+    """Simulate the plan once for its outage count at gamma_th and/or its BER sums:
+    the sweep of one power."""
+    return tally_sweep((plan,), gamma_th, mod)[0]
 
 
 def estimate_outage(plan: SimPlan, gamma_th: float) -> McEstimate:

@@ -265,18 +265,40 @@ def test_run_sweep_simulates_once_for_both_quantities(monkeypatch):
     from rislink import montecarlo
 
     calls = []
-    real = montecarlo.simulate_snr
+    real = montecarlo._draw_gains
 
     def counted(plan, rng, n):
         calls.append(n)
         return real(plan, rng, n)
 
-    monkeypatch.setattr(montecarlo, "simulate_snr", counted)
-    cfg = replace(parse_config_text(MINIMAL), methods=("mc",), pt_dbm=(10.0,))
+    monkeypatch.setattr(montecarlo, "_draw_gains", counted)
+    cfg = replace(parse_config_text(MINIMAL), methods=("mc",), pt_dbm=(10.0, 15.0, 20.0))
     both = run_sweep(cfg, "both")
+    # 20,000 trials are one seeding unit: drawn once for both quantities at all three powers
     assert calls == [20_000]
     outage, ber = run_sweep(cfg, "outage"), run_sweep(cfg, "ber")
-    assert both.rows[0] == outage.rows[0] + ber.rows[0][1:]
+    assert both.rows == tuple(o + b[1:] for o, b in zip(outage.rows, ber.rows))
+
+
+def test_sweep_leaves_only_the_failure_free_power_empty():
+    # no outage in 20,000 trials at 70 dBm; the powers sharing its draws still estimate theirs
+    cfg = replace(parse_config_text(MINIMAL + "methods = mc\n"), pt_dbm=(10.0, 20.0, 70.0))
+    result = run_sweep(cfg, "both")
+    assert result.warnings == (
+        "outage_mc failed at pt=70 dBm: no failures in 20000 trials; outage < 1.500e-04 (95% one-sided)",
+    )
+    mod = ModulationParams(cfg.modulation_a, cfg.modulation_b)
+    for row in result.rows:
+        cells = dict(zip(result.columns, row))
+        mc = tally(SimPlan(cfg.system, row[0], cfg.mc_trials, cfg.mc_seed, cfg.scenario), cfg.gamma_th, mod)
+        ber = mc.ber()
+        assert (cells["ber_mc"], cells["ber_mc_se"]) == (ber.mean, ber.std_error)
+        if row[0] == 70.0:
+            assert (cells["outage_mc"], cells["outage_mc_se"]) == (None, None)
+            assert mc.failures == 0
+        else:
+            outage = mc.outage()
+            assert (cells["outage_mc"], cells["outage_mc_se"]) == (outage.mean, outage.std_error)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from rislink.montecarlo import (
     estimate_outage,
     simulate_snr,
     tally,
+    tally_sweep,
 )
 
 MOD = ModulationParams(a=1.0, b=1.0)
@@ -164,6 +165,24 @@ def test_estimates_independent_of_worker_count(monkeypatch):
         assert serial == pooled, scenario
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_sweep_tallies_equal_one_power_tallies(monkeypatch, workers):
+    # 150_001 trials: one full unit and a one-trial partial unit, each drawn once for three powers
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: workers)
+    assert {row[2] for row in FROZEN} == set(SCENARIOS)
+    for preset, n, scenario, pt, _, _ in FROZEN:
+        plans = [frozen_plan(preset, n, scenario, pt + step) for step in (-10.0, 0.0, 10.0)]
+        threads = threading.active_count()
+        sweep = tally_sweep(plans, 1.0, MOD)
+        assert threading.active_count() == threads
+        assert sweep == tuple(tally(plan, 1.0, MOD) for plan in plans), scenario
+
+
+def test_sweep_plans_differ_only_in_power():
+    with pytest.raises(ValueError, match="only in pt_dbm"):
+        tally_sweep([make_plan(pt=10.0), make_plan(pt=20.0, seed=1)], 1.0)
+
+
 def test_one_pass_serves_both_quantities():
     plan = make_plan(pt=10.0, trials=150_001)
     both = tally(plan, 1.0, MOD)
@@ -197,6 +216,6 @@ def test_single_quantity_does_no_extra_work(monkeypatch):
     plan = make_plan(trials=10_000)
     monkeypatch.setattr(montecarlo, "erfc", forbidden)
     assert estimate_outage(plan, 1.0).mean > 0.0
-    monkeypatch.setattr(montecarlo, "simulate_snr", forbidden)
+    monkeypatch.setattr(montecarlo, "_draw_gains", forbidden)
     assert estimate_outage(plan, 0.0).mean == 0.0
     assert estimate_outage(plan, math.inf).mean == 1.0
