@@ -334,17 +334,18 @@ _FLAGS = {
     "--quiet": dict(action="store_true", help="suppress progress chatter"),
 }
 
-# (name, help, flags): each subcommand takes only the flags it reads.
+# (name, help, flags, handler): each subcommand takes only the flags it reads.
 _SUBCOMMANDS = (
-    ("outage", "transmit-power sweep of outage probability", tuple(_FLAGS)),
-    ("ber", "transmit-power sweep of average BER", tuple(_FLAGS)),
-    ("diversity", "print diversity orders for a configuration", ("--config",)),
+    ("outage", "transmit-power sweep of outage probability", tuple(_FLAGS), lambda args: _cmd_sweep(args, "outage")),
+    ("ber", "transmit-power sweep of average BER", tuple(_FLAGS), lambda args: _cmd_sweep(args, "ber")),
+    ("diversity", "print diversity orders for a configuration", ("--config",), _cmd_diversity),
     (
         "verify",
         "cross-check exact evaluation against Monte-Carlo",
         ("--output", "--seed", "--trials", "--quiet"),
+        _cmd_verify,
     ),
-    ("foxh-eval", "evaluate a contour-integral spec from JSON", ("--config", "--quiet")),
+    ("foxh-eval", "evaluate a contour-integral spec from JSON", ("--config", "--quiet"), _cmd_foxh_eval),
 )
 
 
@@ -354,8 +355,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Outage and BER of a reflecting-surface link with direct combining",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, flags in _SUBCOMMANDS:
+    for name, help_text, flags, handler in _SUBCOMMANDS:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
     return parser
@@ -367,17 +369,7 @@ def main(argv=None) -> int:
     except SystemExit as e:  # argparse exits 2 after a usage error, 0 after --help
         return EXIT_ERROR if e.code else EXIT_OK
     try:
-        if args.command == "outage":
-            return _cmd_sweep(args, "outage")
-        if args.command == "ber":
-            return _cmd_sweep(args, "ber")
-        if args.command == "diversity":
-            return _cmd_diversity(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "foxh-eval":
-            return _cmd_foxh_eval(args)
-        raise AssertionError(args.command)
+        return args.handler(args)
     except (ParseError, ValidationError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR

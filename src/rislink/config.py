@@ -400,23 +400,6 @@ def load_config(path: str) -> ScenarioConfig:
     return parse_config_text(text)
 
 
-def _semantic_repr(cfg: ScenarioConfig) -> str:
-    sys_ = cfg.system
-    parts = [
-        repr(sys_.geometry),
-        f"noise={sys_.noise_dbm!r}",
-        ";".join(repr(c) for c in sys_.elements),
-        repr(sys_.direct),
-        f"pt={cfg.pt_dbm!r}",
-        f"gth={cfg.gamma_th_db!r}",
-        f"mod=({cfg.modulation_a!r},{cfg.modulation_b!r})",
-        f"methods={cfg.methods!r}",
-        f"mc=({cfg.mc_trials},{cfg.mc_seed})",
-        f"scenario={cfg.scenario!r}",
-    ]
-    return "|".join(parts)
-
-
 def config_hash(cfg: ScenarioConfig) -> str:
-    """Short digest of every semantic field (output path excluded)."""
-    return hashlib.sha256(_semantic_repr(cfg).encode()).hexdigest()[:16]
+    """Short digest of every field but the output path, read from the dataclasses' own repr."""
+    return hashlib.sha256(repr(replace(cfg, output=None)).encode()).hexdigest()[:16]

@@ -12,17 +12,19 @@ trapezoid tensor product over at most MAX_DIMS members of the variables.
 A variable stands for a count of identical members, each with the
 variable's argument and its own copy of the variable's single-variable
 ("own") factors; a joint factor sees only the sum of the members' values.
-Every Gamma factor that reads one variable folds into that variable's
-weight, log Gamma running once per point of its index line. A variable's
-weight starts as the kernel's unit phase on its axis, its own factors fold
-in once, and on the shared-step grid it is convolved once per member onto
-the lattice of the members' index sums. The grid sum then eliminates the
-variables along the joint factors' keys: a factor whose coefficients are a
-rational multiple of integer steps p_c reads the lattice indices m_c only
-through d = sum_c p_c * m_c, so its variables merge into one on d, their
-weights convolved after dilation by the steps, when every other factor
-reads them only through d too; a factor left with one variable folds into
-that variable's weight the same way. Only factors that no merge takes
+A spec's factors are one table, their arguments read by one rule
+(``_Factors.at``). Every Gamma factor that reads one variable folds into
+that variable's weight, log Gamma running once per point of its index
+line. A variable's weight starts as the kernel's unit phase on its axis,
+its own factors fold in once, and on the shared-step grid it is
+convolved once per member onto the lattice of the members' index sums.
+The grid sum then eliminates the variables along the joint factors'
+keys: a factor whose coefficients are a rational multiple of integer
+steps p_c reads the lattice indices m_c only through
+d = sum_c p_c * m_c, so its variables merge into one on d, their weights
+convolved after dilation by the steps, when every other factor reads
+them only through d too; a factor left with one variable folds into that
+variable's weight the same way. Only factors that no merge takes
 (coefficient ratios that are not rational, keys that do not nest) are
 evaluated at every point of a lattice.
 
@@ -36,7 +38,7 @@ pole tuple nearest the contour, for poles of any order (Kilbas & Saigo, ch. 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -89,25 +91,47 @@ class NotConverged(RuntimeError):
 
 @dataclass(frozen=True)
 class GammaTerm:
-    """One Gamma factor Gamma(offset + orientation * sum_i coeffs[i]*t_i)^sign: one copy per member of its one
-    variable or, if ``joint`` (always so for several variables or none), of t_i summed over the members."""
+    """One Gamma factor Gamma(offset + sum_i coeffs[i]*t_i)^sign: one copy per member of its one variable or,
+    if ``joint`` (always so for several variables or none), of t_i summed over the members. The constructor
+    keyword ``orientation=-1`` negates the coefficients given; ``coeffs`` holds them signed."""
 
     offset: float
     coeffs: tuple[float, ...]
     sign: int = 1  # +1 numerator, -1 denominator
-    orientation: int = 1
+    orientation: InitVar[int] = 1
     joint: bool = False
 
-    def __post_init__(self):
-        if self.sign not in (1, -1) or self.orientation not in (1, -1):
+    def __post_init__(self, orientation: int):
+        if self.sign not in (1, -1) or orientation not in (1, -1):
             raise ValueError("sign and orientation must be +1 or -1")
         if not all(math.isfinite(c) for c in self.coeffs) or not math.isfinite(self.offset):
             raise ValueError("GammaTerm coefficients must be finite")
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(orientation * float(c) for c in self.coeffs))
         object.__setattr__(self, "joint", bool(self.joint) or sum(c != 0.0 for c in self.coeffs) != 1)
 
-    def effective_coeffs(self) -> np.ndarray:
-        return self.orientation * np.asarray(self.coeffs)
+
+class _Factors:
+    """Gamma factors as one table, built once per spec: row k holds factor k's sign, offset, signed
+    coefficients and joint flag, over variables of counts[i] members each; ``own`` marks those reading one member."""
+
+    def __init__(self, terms, counts):
+        self.signs = np.array([t.sign for t in terms], dtype=int)
+        self.offsets = np.array([t.offset for t in terms], dtype=float)
+        self.coeffs = np.array([t.coeffs for t in terms], dtype=float).reshape(len(terms), len(counts))
+        self.joint = np.array([t.joint for t in terms], dtype=bool)
+        self.counts = np.asarray(counts)
+        self.own = ~self.joint | ((self.coeffs != 0.0) @ self.counts == 1)
+
+    def at(self, x, sums=None) -> np.ndarray:
+        """Each factor's complex argument where a member of variable i is at x[i] (arrays, variables last) and
+        the members sum to sums[i], by default counts[i] * x[i]: a joint factor reads the sums, any other the member."""
+        sums = self.counts * x if sums is None else sums
+
+        def read(member, total):
+            return np.where(self.joint, total @ self.coeffs.T, member @ self.coeffs.T)
+
+        # real and imaginary parts apart: a complex product sums them in another order than a real one
+        return self.offsets + read(x.real, sums.real) + 1j * read(x.imag, sums.imag)
 
 
 @dataclass(frozen=True)
@@ -129,6 +153,7 @@ class FoxHSpec:
     terms: tuple[GammaTerm, ...]
     contour_re: tuple[float, ...] | None = None
     counts: tuple[int, ...] | None = None
+    factors: _Factors = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(complex(a) for a in self.args))
@@ -140,12 +165,12 @@ class FoxHSpec:
             raise ValueError("GammaTerm coefficient count must match num_vars")
         if any(not (np.isfinite(a) and a.imag == 0 and a.real > 0) for a in self.args):
             raise ValueError("arguments must be finite positive real numbers")
-        anchors = suggest_anchors(self.terms, self.num_vars) if self.contour_re is None else self.contour_re
+        object.__setattr__(self, "factors", _Factors(self.terms, self.counts))
+        anchors = _suggest(self.factors) if self.contour_re is None else self.contour_re
         object.__setattr__(self, "contour_re", tuple(float(c) for c in anchors))
         if len(self.args) != len(self.contour_re) or not self.args:
             raise ValueError("args and contour_re must have equal nonzero length")
-        intervals = validate_contour(self)
-        for i, (lo, hi) in enumerate(intervals):
+        for i, (lo, hi) in enumerate(validate_contour(self)):
             if not (lo < self.contour_re[i] < hi):
                 raise NoValidContour(i, f"anchor {self.contour_re[i]} outside ({lo}, {hi})")
 
@@ -154,43 +179,32 @@ class FoxHSpec:
         return len(self.args)
 
 
-def _feasible_intervals(terms, anchors: np.ndarray, counts: np.ndarray | None = None) -> list[tuple[float, float]]:
+def _feasible_intervals(factors: _Factors, anchors: np.ndarray, joint: bool = True) -> list[tuple[float, float]]:
     """Feasible real-anchor interval per variable.
 
     A numerator Gamma factor must keep the real part of its argument
-    positive along the contour (its poles all stay on one side). A joint
-    factor is skipped without ``counts``, and otherwise bounds each member
-    of its variables with every other member at its variable's anchor.
+    positive along the contour (its poles all stay on one side). It bounds
+    each member of its variables with every other member at its variable's
+    anchor; joint factors are skipped unless ``joint``.
     """
-    intervals = [[-math.inf, math.inf] for _ in anchors]
-    for term in terms:
-        if term.sign != 1:
-            continue
-        eff = term.effective_coeffs()
-        active = np.nonzero(eff)[0]
-        if len(active) == 0:
-            if term.offset <= 0:
-                raise NoValidContour(0, f"constant numerator term with offset {term.offset} <= 0")
-            continue
-        if term.joint and counts is None:
-            continue
-        for i in active:
-            rest = float(term.offset + (eff * counts if term.joint else eff) @ anchors - eff[i] * anchors[i])
-            if eff[i] > 0:
-                intervals[i][0] = max(intervals[i][0], -rest / eff[i])
-            else:
-                intervals[i][1] = min(intervals[i][1], rest / -eff[i])
-    out = []
-    for i, (lo, hi) in enumerate(intervals):
+    bad = (factors.signs == 1) & ~factors.coeffs.any(axis=1) & (factors.offsets <= 0)
+    if bad.any():
+        raise NoValidContour(0, f"constant numerator term with offset {factors.offsets[bad][0]} <= 0")
+    use = (factors.signs == 1) & (joint | ~factors.joint)
+    c = factors.coeffs[use]
+    rest = factors.at(anchors).real[use, None] - c * anchors
+    bound = np.divide(-rest, c, out=np.zeros_like(rest), where=c != 0.0)
+    lows = np.max(np.where(c > 0.0, bound, -np.inf), axis=0, initial=-np.inf)
+    highs = np.min(np.where(c < 0.0, bound, np.inf), axis=0, initial=np.inf)
+    for i, (lo, hi) in enumerate(zip(lows, highs)):
         if lo >= hi:
             raise NoValidContour(i, f"empty interval ({lo}, {hi})")
-        out.append((lo, hi))
-    return out
+    return [(float(lo), float(hi)) for lo, hi in zip(lows, highs)]
 
 
 def validate_contour(spec: FoxHSpec) -> list[tuple[float, float]]:
     """Feasible interval per variable under every numerator factor, other anchors at the spec's."""
-    return _feasible_intervals(spec.terms, np.asarray(spec.contour_re), np.asarray(spec.counts))
+    return _feasible_intervals(spec.factors, np.asarray(spec.contour_re))
 
 
 def suggest_anchors(terms, num_vars: int) -> tuple[float, ...]:
@@ -200,8 +214,12 @@ def suggest_anchors(terms, num_vars: int) -> tuple[float, ...]:
     family built in this package (joint factors never bind).
     Unbounded sides are clipped one unit from the finite side.
     """
+    return _suggest(_Factors(terms, (1,) * num_vars))
+
+
+def _suggest(factors: _Factors) -> tuple[float, ...]:
     anchors = []
-    for lo, hi in _feasible_intervals(terms, np.zeros(num_vars)):
+    for lo, hi in _feasible_intervals(factors, np.zeros(factors.counts.size), joint=False):
         if math.isinf(lo) and math.isinf(hi):
             anchors.append(0.0)
         elif math.isinf(hi):
@@ -213,13 +231,6 @@ def suggest_anchors(terms, num_vars: int) -> tuple[float, ...]:
     return tuple(anchors)
 
 
-def _split_terms(spec: FoxHSpec):
-    """Each variable's own factors, and the joint ones; a factor that spans one member is that member's own."""
-    own = [not t.joint or sum(n for n, c in zip(spec.counts, t.coeffs) if c) == 1 for t in spec.terms]
-    per_var = [[t for t, o in zip(spec.terms, own) if o and t.coeffs[i]] for i in range(spec.num_vars)]
-    return per_var, [t for t, o in zip(spec.terms, own) if not o]
-
-
 def _scan_truncation(spec: FoxHSpec, quad: QuadratureConfig) -> np.ndarray:
     """Per-variable half-length where the integrand has decayed to noise.
 
@@ -227,32 +238,28 @@ def _scan_truncation(spec: FoxHSpec, quad: QuadratureConfig) -> np.ndarray:
     the diagonal over all members with and without the last one reversed:
     denominator factors coupling several members grow when those move
     together, so the joint decay can be slower than any axis shows. Along
-    direction d a factor's argument is w = sigma + i*s*(c.d), and its
-    log-modulus is Stirling's (sigma - 1/2) ln|w| - Im(w) arg w - sigma +
-    ln(2 pi)/2, even in c.d; log Gamma itself gives only the level at y = 0,
-    kept by each factor that d leaves constant. d moves m of a variable's n
-    members, so m copies of each own factor, and joint factors by the signed
-    member sums.
+    direction d a factor's argument is w = sigma + i*s*r, r the imaginary
+    part of its argument at the step i*d, and its log-modulus is Stirling's
+    (sigma - 1/2) ln|w| - Im(w) arg w - sigma + ln(2 pi)/2, even in r; log
+    Gamma itself gives only the level at y = 0, kept by each factor that d
+    leaves constant. d moves m of a variable's n members, so m copies of
+    each own factor, and joint factors by the signed member sums.
     """
-    n = spec.num_vars
-    counts = np.asarray(spec.counts)
+    n, f = spec.num_vars, spec.factors
     probe = np.arange(0.0, HALF_LENGTH + 0.25, 0.25)
     # members moved, and their signed sum, per variable along each direction
-    moved = np.vstack([np.eye(n), counts, counts])
-    sums = np.vstack([np.eye(n), counts, counts - 2.0 * np.eye(n)[-1]])
-    coeffs = np.array([term.effective_coeffs() for term in spec.terms]).reshape(len(spec.terms), n)
-    joint = np.array([term.joint for term in spec.terms])
-    signs = np.array([term.sign for term in spec.terms])
-    sigma = np.array([t.offset for t in spec.terms]) + np.where(joint[:, None], coeffs * counts, coeffs) @ spec.contour_re
+    moved = np.vstack([np.eye(n), f.counts, f.counts])
+    sums = np.vstack([np.eye(n), f.counts, f.counts - 2.0 * np.eye(n)[-1]])
+    sigma = f.at(np.asarray(spec.contour_re)).real
     exact = np.real(log_gamma(sigma))
-    copies = np.where(joint, 1, (coeffs != 0.0) @ counts)
+    copies = np.where(f.joint, 1, (f.coeffs != 0.0) @ f.counts)
     # the kernel z^{-t} has constant modulus along every direction
-    rate = np.where(joint, sums @ coeffs.T, (moved > 0) @ coeffs.T)
-    movers = np.where(joint, rate != 0.0, moved @ (coeffs != 0.0).T)
+    rate = f.at(1j * (moved > 0), 1j * sums).imag
+    movers = np.where(f.joint, rate != 0.0, moved @ (f.coeffs != 0.0).T)
     w = sigma + 1j * probe[:, None, None] * rate
     stirling = (sigma - 0.5) * np.log(np.abs(w)) - w.imag * np.angle(w) - sigma + 0.5 * math.log(2.0 * math.pi)
     level = np.where(movers > 0, movers * stirling, 0.0) + np.where(copies > movers, (copies - movers) * exact, 0.0)
-    above = level @ signs > (copies * exact) @ signs + math.log(min(1e-10, quad.rel_tol * 1e-4))
+    above = level @ f.signs > (copies * exact) @ f.signs + math.log(min(1e-10, quad.rel_tol * 1e-4))
     reach = np.max(np.where(above, probe[:, None], 0.0), axis=0)
     T = np.maximum(reach[:n], reach[n:].max())
     return np.minimum(np.maximum(T + 1.0, 4.0), HALF_LENGTH)
@@ -299,15 +306,6 @@ def _dilate(w: np.ndarray, p: int) -> np.ndarray:
     out = np.zeros((w.size - 1) * abs(p) + 1, dtype=w.dtype)
     out[:: abs(p)] = w if p > 0 else w[::-1]
     return out
-
-
-def _lines(spec: FoxHSpec, terms, counts, axes_y):
-    """Each factor's sign, argument at index 0 of the variables' index lines and coefficients per
-    line index, where variable i's line counts counts[i] members: y = counts[i] * axes_y[i][0] + h * k."""
-    cols = np.array([t.effective_coeffs() for t in terms]).reshape(len(terms), spec.num_vars)
-    y0 = [n * y[0] for n, y in zip(counts, axes_y)]
-    origins = np.array([t.offset for t in terms]) + cols @ np.multiply(counts, spec.contour_re) + 1j * cols @ y0
-    return np.array([t.sign for t in terms]), origins, cols
 
 
 def _fold(sets, signs, origins, cols, h) -> np.ndarray:
@@ -391,19 +389,20 @@ def _tensor_pass(spec: FoxHSpec, axes_y, h, T):
     cancellation that shrinks the true tail is reflected), and the
     absolute mass; ref is the log level factored out to avoid overflow.
     """
-    per_var, cross = _split_terms(spec)
+    f = spec.factors
     logz = np.log(np.real(spec.args))
     # the kernel z^-t at level -c*log z; signed, inner-box (every |y_i| <= T_i - 1) and absolute weights
     ref = float(-np.multiply(spec.counts, spec.contour_re) @ logz)
     phases = [np.exp(-1j * y * lz) for y, lz in zip(axes_y, logz)]
     sets = [[w, np.where(np.abs(y) <= Ti - 1.0, w, 0.0), np.ones(y.size)] for w, y, Ti in zip(phases, axes_y, T)]
-    own = _lines(spec, [t for terms in per_var for t in terms], [1] * spec.num_vars, axes_y)
+    # each factor's argument at index 0 of the index lines: a joint factor's line is over its members' index sums
+    origins = f.at(np.asarray(spec.contour_re) + 1j * np.array([y[0] for y in axes_y]))
     # an own factor's level counts once per member
-    ref += float(np.asarray(spec.counts) @ _fold(sets, *own, h))
+    ref += float(f.counts @ _fold(sets, f.signs[f.own], origins[f.own], f.coeffs[f.own], h))
     # Direct convolution, not an FFT: the FFT's absolute error would swamp the signed cancellation.
     for v, n in enumerate(spec.counts):
         sets[v] = [reduce(np.convolve, [w] * n) for w in sets[v]]
-    signs, origins, cols = _lines(spec, cross, spec.counts, axes_y)
+    signs, origins, cols = f.signs[~f.own], origins[~f.own], f.coeffs[~f.own]
     while True:
         fold = np.count_nonzero(cols, axis=1) <= 1
         ref += float(_fold(sets, signs[fold], origins[fold], cols[fold], h).sum())
@@ -578,24 +577,26 @@ def leading_residue(spec: FoxHSpec) -> tuple[float, float]:
     form. ValueError: no pole on the left, a joint factor singular there, or a
     lattice over _MAX_SERIES coefficients or outside the double range.
     """
-    per_var, cross = _split_terms(spec)
-    poles = -np.array([lo for lo, _ in _feasible_intervals(spec.terms, np.zeros(spec.num_vars))])
+    f = spec.factors
+    poles = -np.array([lo for lo, _ in _feasible_intervals(f, np.zeros(spec.num_vars), joint=False)])
     if np.isinf(poles).any():
         raise ValueError(f"variable {np.isinf(poles).argmax()} has no pole left of the contour")
-    cross_args = [t.offset - (t.effective_coeffs() * spec.counts) @ poles for t in cross]
-    if any(a <= 0 and a == round(a) for a in cross_args):
+    rows = list(zip(f.offsets, f.coeffs, f.signs, f.at(-poles).real, f.own))
+    cross = [(s, a, c) for _, c, s, a, o in rows if not o]
+    if any(a <= 0 and a == round(a) for _, a, _ in cross):
         raise ValueError("a joint factor is singular at the leading poles")
-    log_abs = sum(t.sign * gammaln(a) for t, a in zip(cross, cross_args))
-    sign = math.prod(gammasgn(a) for a in cross_args)
+    log_abs = sum(s * gammaln(a) for s, a, _ in cross)
+    sign = math.prod(gammasgn(a) for _, a, _ in cross)
     scales, series = [], []
     for i, (z, n, p) in enumerate(zip(spec.args, spec.counts, poles)):
-        own = sorted((t.offset, t.orientation * t.coeffs[i], t.sign) for t in per_var[i])
-        tied = [s == 1 and c > 0 and math.isclose(off / c, p, rel_tol=_TIE_REL, abs_tol=_TIE_REL) for off, c, s in own]
+        own = sorted((off, c[i], s, a) for off, c, s, a, o in rows if o and c[i])
+        tied = [s == 1 and c > 0 and math.isclose(off / c, p, rel_tol=_TIE_REL, abs_tol=_TIE_REL)
+                for off, c, s, _ in own]
         # u^m * z^{-t} * own factors, where u * Gamma(c*u) = Gamma(1 + c*u) / c
         const, coef = p * math.log(z.real), np.zeros(sum(tied) - 1)
-        coef[:1] = sum(t.sign * psi(a) * t.effective_coeffs()[i] for t, a in zip(cross, cross_args)) - math.log(z.real)
-        for (off, c, s), is_tied in zip(own, tied):
-            a = 1.0 if is_tied else off - c * p
+        coef[:1] = sum(s * psi(a) * c[i] for s, a, c in cross) - math.log(z.real)
+        for (off, c, s, a), is_tied in zip(own, tied):
+            a = 1.0 if is_tied else a
             const += s * gammaln(a) - (math.log(c) if is_tied else 0.0)
             sign *= gammasgn(a) ** n
             coef += s * _log_gamma_taylor(a, c, coef.size)
@@ -612,11 +613,11 @@ def leading_residue(spec: FoxHSpec) -> tuple[float, float]:
     if size > _MAX_SERIES:
         raise ValueError(f"leading-residue series of {size} coefficients exceeds {_MAX_SERIES}")
     lattice = reduce(np.multiply.outer, series)
-    for t, a in zip(cross, cross_args):
-        v = t.effective_coeffs() * scales * [q.size > 1 for q in series]
+    for s, a, c in cross:
+        v = c * scales * [q.size > 1 for q in series]
         nu = float(np.abs(v).sum())
         if nu:
-            coef = t.sign * _log_gamma_taylor(a, nu, sum(q.size - 1 for q, w in zip(series, v) if w))
+            coef = s * _log_gamma_taylor(a, nu, sum(q.size - 1 for q, w in zip(series, v) if w))
             g = _exp_taylor(np.r_[0.0, coef[1:]])
             lattice = _shift_series(g, v / nu, lattice)
     total = float(lattice.flat[0])
@@ -627,13 +628,11 @@ def leading_residue(spec: FoxHSpec) -> tuple[float, float]:
 
 def dump_spec(spec: FoxHSpec, fh) -> None:
     """Write a human-readable description of a spec for diagnosis."""
-    intervals = validate_contour(spec)
     fh.write(f"variables: {spec.num_vars}\n")
-    for i, (z, n, c, (lo, hi)) in enumerate(zip(spec.args, spec.counts, spec.contour_re, intervals)):
+    for i, (z, n, c, (lo, hi)) in enumerate(zip(spec.args, spec.counts, spec.contour_re, validate_contour(spec))):
         # + 0.0 prints a -0.0 bound as 0
         fh.write(f"var {i}: arg={z!r} count={n} anchor={c:.6g} feasible=({lo + 0.0:.6g}, {hi + 0.0:.6g})\n")
     for k, term in enumerate(spec.terms):
         side = ("num" if term.sign == 1 else "den") + (" joint" if term.joint else "")
-        sgn = "+" if term.orientation == 1 else "-"
-        lin = " ".join(f"{c:g}*t{i}" for i, c in enumerate(term.coeffs) if c != 0.0) or "0"
-        fh.write(f"term {k}: {side} Gamma({term.offset:g} {sgn} ({lin}))\n")
+        lin = "".join(f" {'-' if c < 0 else '+'} {abs(c):g}*t{i}" for i, c in enumerate(term.coeffs) if c != 0.0)
+        fh.write(f"term {k}: {side} Gamma({term.offset:g}{lin})\n")

@@ -256,12 +256,8 @@ def tally_sweep(plans: Iterable[SimPlan], gamma_th: float | None = None, mod=Non
     def run(unit: int) -> list[tuple[int, float, float]]:
         return _unit_sums(plans[0], scalings, unit, sizes[unit], count_th, mod)
 
-    workers = min(_cpu_count(), len(sizes))
-    if workers == 1:
-        units = [run(unit) for unit in range(len(sizes))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            units = list(pool.map(run, range(len(sizes))))
+    with ThreadPoolExecutor(max_workers=min(_cpu_count(), len(sizes))) as pool:
+        units = list(pool.map(run, range(len(sizes))))
     return tuple(
         McTally(
             n=n_trials,

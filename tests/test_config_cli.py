@@ -753,6 +753,17 @@ def test_cli_foxh_eval_invalid_spec_is_error(request, tmp_path, capsys, spec):
         assert captured.err.startswith("error: malformed spec: ")
 
 
+def test_cli_foxh_eval_not_converged_is_error(tmp_path, capsys):
+    # Gamma(t) / Gamma(3/2 + t): an integrand decaying as |y|^(-3/2) outlasts the longest truncation
+    spec = {"args": [0.5], "terms": [{"offset": 0.0, "coeffs": [1.0]}, {"offset": 1.5, "coeffs": [1.0], "sign": -1}]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["foxh-eval", "--config", str(path), "--quiet"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: quadrature did not converge")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "content",
     [b'{"args": [1' + b"0" * 5000 + b'], "terms": []}', b"\xff\xfe{}"],

@@ -19,6 +19,7 @@ from rislink.foxh import (
     FoxHSpec,
     GammaTerm,
     NoValidContour,
+    NotConverged,
     QuadratureConfig,
     dump_spec,
     eval_foxh,
@@ -88,6 +89,16 @@ def test_error_estimate_is_honest():
     assert abs(value - math.exp(-1.0)) <= max(err, 1e-10) * 10
 
 
+def test_slow_tail_does_not_converge():
+    # Gamma(t) / Gamma(3/2 + t) at z = 1/2 is (1 - z)^(1/2) / Gamma(3/2), but the integrand decays only as
+    # |y|^(-3/2): the tail past HALF_LENGTH stays above the tolerance, and the error carries the last estimate
+    spec = FoxHSpec(args=(0.5,), terms=(GammaTerm(0.0, (1.0,)), GammaTerm(1.5, (1.0,), sign=-1)))
+    with pytest.raises(NotConverged) as caught:
+        eval_foxh(spec)
+    assert math.isfinite(caught.value.last_delta)
+    assert caught.value.value == pytest.approx(math.sqrt(0.5) / math.gamma(1.5), rel=2e-3)
+
+
 # ---------------------------------------------------------------------------
 # contour validation
 
@@ -125,6 +136,12 @@ def test_denominator_terms_do_not_constrain():
     terms = (GammaTerm(0.0, (1.0,)), GammaTerm(0.0, (1.0,), sign=-1, orientation=-1))
     lo, hi = validate_contour(FoxHSpec(args=(1.0,), terms=terms, contour_re=(5.0,)))[0]
     assert lo == 0.0 and math.isinf(hi)
+
+
+def test_unbounded_variable_is_anchored_at_zero():
+    # the second variable has only a denominator factor: no bound on either side
+    terms = (GammaTerm(1.0, (1.0, 0.0)), GammaTerm(0.0, (0.0, 1.0), sign=-1))
+    assert suggest_anchors(terms, 2) == (0.0, 0.0)
 
 
 def test_spec_places_default_anchors():
@@ -213,7 +230,7 @@ def _log_at(spec: FoxHSpec, y: np.ndarray) -> np.ndarray:
     logz = np.log(np.asarray(spec.args, dtype=complex))
     acc = -(t @ logz)
     for term in spec.terms:
-        acc = acc + term.sign * log_gamma(term.offset + t @ term.effective_coeffs())
+        acc = acc + term.sign * log_gamma(term.offset + t @ np.asarray(term.coeffs))
     return acc
 
 
@@ -221,13 +238,16 @@ def _expand_members(spec: FoxHSpec) -> FoxHSpec:
     """Reference: the same integral with one variable per member, members in variable order;
     each member takes its own copy of its variable's own factors, and joint factors span all."""
     members = [v for v, n in enumerate(spec.counts) for _ in range(n)]
-    per_var, joint = foxh._split_terms(spec)
+    # a factor that spans one member is that member's own
+    own = [not t.joint or sum(n for n, c in zip(spec.counts, t.coeffs) if c) == 1 for t in spec.terms]
     terms = [
-        GammaTerm(t.offset, tuple(t.coeffs[v] * (j == m) for j in range(len(members))), t.sign, t.orientation)
+        GammaTerm(t.offset, tuple(t.coeffs[v] * (j == m) for j in range(len(members))), t.sign)
         for m, v in enumerate(members)
-        for t in per_var[v]
+        for t, o in zip(spec.terms, own)
+        if o and t.coeffs[v]
     ]
-    terms += [GammaTerm(t.offset, tuple(t.coeffs[v] for v in members), t.sign, t.orientation) for t in joint]
+    joint = [t for t, o in zip(spec.terms, own) if not o]
+    terms += [GammaTerm(t.offset, tuple(t.coeffs[v] for v in members), t.sign) for t in joint]
     return FoxHSpec(
         args=tuple(spec.args[v] for v in members),
         terms=tuple(terms),
@@ -608,6 +628,8 @@ def test_dump_spec_mentions_every_term(tmp_path):
     text = buf.getvalue()
     assert "variables: 1" in text
     assert text.count("term") == 3
+    # coefficients print signed, as stored
+    assert "term 1: num Gamma(1.7 - 1*t0)\n" in text
     # a zero bound prints as 0, not -0
     buf = io.StringIO()
     dump_spec(exp_spec(2.5), buf)
@@ -637,3 +659,11 @@ def test_quadrature_config_validation():
         QuadratureConfig(step=-1.0)
     with pytest.raises(ValueError):
         GammaTerm(0.0, (1.0,), sign=2)
+    with pytest.raises(ValueError):
+        GammaTerm(0.0, (1.0,), orientation=0)
+
+
+def test_orientation_is_applied_to_the_stored_coefficients():
+    term = GammaTerm(2.0, (1.0, 0.5), sign=-1, orientation=-1)
+    assert term.coeffs == (-1.0, -0.5)
+    assert term == GammaTerm(2.0, (-1.0, -0.5), sign=-1)
