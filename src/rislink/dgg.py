@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .foxh import FoxHSpec, GammaTerm, eval_foxh
 
@@ -80,7 +79,7 @@ def mellin_layout(block: DggParams | CascadeParams) -> tuple[float, float, float
     """
     factors = gg_factors(block)
     a = factors[1][0]
-    log_norm = math.log(a) - math.fsum(float(gammaln(beta)) for _, beta, _ in factors)
+    log_norm = math.log(a) - math.fsum(math.lgamma(beta) for _, beta, _ in factors)
     log_b = math.fsum(a / alpha * math.log(omega / beta) for alpha, beta, omega in factors)
     return a, log_norm, log_b, tuple((beta, a / alpha) for alpha, beta, _ in factors)
 
@@ -110,7 +109,7 @@ def dgg_moment(block: DggParams | CascadeParams, k: float) -> float:
     """E[X^k] of a link or a cascade, the product of its generalized Gamma factor moments."""
     out = 1.0
     for alpha, beta, omega in gg_factors(block):
-        out *= (omega / beta) ** (k / alpha) * math.exp(gammaln(beta + k / alpha) - gammaln(beta))
+        out *= (omega / beta) ** (k / alpha) * math.exp(math.lgamma(beta + k / alpha) - math.lgamma(beta))
     return out
 
 

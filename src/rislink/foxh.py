@@ -43,9 +43,8 @@ from functools import reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import comb, gammaln, gammasgn, psi, zeta
 
-from .special import log_gamma
+from .special import digamma, gammasgn, log_gamma, zeta
 
 __all__ = [
     "MAX_DIMS",
@@ -108,6 +107,10 @@ class GammaTerm:
             raise ValueError("GammaTerm coefficients must be finite")
         object.__setattr__(self, "coeffs", tuple(orientation * float(c) for c in self.coeffs))
         object.__setattr__(self, "joint", bool(self.joint) or sum(c != 0.0 for c in self.coeffs) != 1)
+
+
+# The InitVar's default would stay a class attribute and read 1 whatever the keyword was: only coeffs holds it.
+del GammaTerm.orientation
 
 
 class _Factors:
@@ -516,7 +519,7 @@ def _log_gamma_taylor(a: float, scale: float, degree: int) -> np.ndarray:
     j = np.arange(2, degree + 1)
     z = zeta(j, a)
     tail = np.sign(z) * np.sign(-scale) ** j * np.exp(np.log(np.abs(z)) + j * math.log(abs(scale))) / j
-    return np.r_[scale * psi(a), tail][:degree]
+    return np.r_[scale * digamma(a), tail][:degree]
 
 
 def _exp_taylor(c: np.ndarray) -> np.ndarray:
@@ -554,8 +557,12 @@ def _shift_series(g: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
     y = np.moveaxis(x, c, -1)
     windows = sliding_window_view(np.concatenate([y, np.zeros_like(y[..., 1:])], axis=-1), size, axis=-1)
     acc = np.zeros_like(x)
+    # C(r + l, l) at every r, for l = 0, 1, ...: by Pascal's rule each row is the running sum of the one before
+    binomials = [np.ones(size)]
+    for _ in range(g.size - size):
+        binomials.append(np.cumsum(binomials[-1]))
     for l in range(g.size - size, -1, -1):
-        k = g[l : l + size] * comb(r + l, l) * v[c] ** r
+        k = g[l : l + size] * binomials[l] * v[c] ** r
         acc = np.moveaxis(windows @ k, -1, c) + _shift(acc, np.where(np.arange(v.size) == c, 0.0, v))
     return acc
 
@@ -585,7 +592,7 @@ def leading_residue(spec: FoxHSpec) -> tuple[float, float]:
     cross = [(s, a, c) for _, c, s, a, o in rows if not o]
     if any(a <= 0 and a == round(a) for _, a, _ in cross):
         raise ValueError("a joint factor is singular at the leading poles")
-    log_abs = sum(s * gammaln(a) for s, a, _ in cross)
+    log_abs = sum(s * math.lgamma(a) for s, a, _ in cross)
     sign = math.prod(gammasgn(a) for _, a, _ in cross)
     scales, series = [], []
     for i, (z, n, p) in enumerate(zip(spec.args, spec.counts, poles)):
@@ -594,10 +601,10 @@ def leading_residue(spec: FoxHSpec) -> tuple[float, float]:
                 for off, c, s, _ in own]
         # u^m * z^{-t} * own factors, where u * Gamma(c*u) = Gamma(1 + c*u) / c
         const, coef = p * math.log(z.real), np.zeros(sum(tied) - 1)
-        coef[:1] = sum(s * psi(a) * c[i] for s, a, c in cross) - math.log(z.real)
+        coef[:1] = sum(s * digamma(a) * c[i] for s, a, c in cross) - math.log(z.real)
         for (off, c, s, a), is_tied in zip(own, tied):
             a = 1.0 if is_tied else a
-            const += s * gammaln(a) - (math.log(c) if is_tied else 0.0)
+            const += s * math.lgamma(a) - (math.log(c) if is_tied else 0.0)
             sign *= gammasgn(a) ** n
             coef += s * _log_gamma_taylor(a, c, coef.size)
         e = _exp_taylor(coef)  # r_j / r_0

@@ -19,11 +19,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erfc
 
 from .channel import budget, relay_hop_budgets
 from .config import SCENARIOS, SystemConfig
 from .dgg import cascade_sample, dgg_sample
+from .special import erfc
 
 __all__ = [
     "UNIT_TRIALS",

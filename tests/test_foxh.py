@@ -99,6 +99,19 @@ def test_slow_tail_does_not_converge():
     assert caught.value.value == pytest.approx(math.sqrt(0.5) / math.gamma(1.5), rel=2e-3)
 
 
+def test_orientation_is_a_constructor_keyword_only():
+    # coeffs hold the orientation; a stored copy of the keyword could disagree with them
+    term = GammaTerm(1.0, (2.0,), orientation=-1)
+    assert term.coeffs == (-2.0,)
+    assert GammaTerm(1.0, (2.0,)).coeffs == (2.0,)
+    with pytest.raises(AttributeError):
+        term.orientation
+    with pytest.raises(AttributeError):
+        GammaTerm.orientation
+    with pytest.raises(ValueError):
+        GammaTerm(1.0, (2.0,), orientation=0)
+
+
 # ---------------------------------------------------------------------------
 # contour validation
 

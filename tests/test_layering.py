@@ -1,6 +1,10 @@
-"""Module boundaries: no private imports across modules, one scenario-to-branch map, one anchor rule, one sampler."""
+"""Module boundaries: no private imports across modules, one scenario-to-branch map, one anchor rule, one sampler,
+and no scipy at run time."""
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "rislink"
 
@@ -108,3 +112,47 @@ def test_fading_fields_read_only_in_dgg():
         if isinstance(node, ast.Attribute) and node.attr in fields
     ]
     assert not found, "\n".join(found)
+
+
+def _scipy_imports(path: pathlib.Path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        yield from (f"{path.name}:{node.lineno} imports {name}" for name in names if name.split(".")[0] == "scipy")
+
+
+def test_no_module_imports_scipy():
+    # numpy is the one run-time dependency; scipy is a test oracle only
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in _scipy_imports(path)]
+    assert not found, "\n".join(found)
+
+
+BLOCKED_SCIPY = """
+import importlib, pathlib, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+for path in sorted(pathlib.Path(sys.argv[1]).glob("[!_]*.py")):
+    importlib.import_module(f"rislink.{path.stem}")
+from rislink import cli
+code = cli.main(["verify", "--quiet"])
+assert "scipy" not in sys.modules, "scipy was imported"
+sys.exit(code)
+"""
+
+
+def test_verify_runs_with_scipy_blocked():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", BLOCKED_SCIPY, str(SRC)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -131,7 +131,7 @@ def test_ber_standard_error_positive():
 FROZEN = [
     ("FP1", 2, "combined", 20.0, 0.11696588689408738, 0.03075504390593284),
     ("FP2", 3, "ris_only", 100.0, 0.001986653422310518, 0.000476902280331768),
-    ("FP3", 1, "dt_only", 20.0, 0.005266631555789628, 0.0015787215263958234),
+    ("FP3", 1, "dt_only", 20.0, 0.005266631555789628, 0.001578721526395823),
     ("FP1", 1, "df_relay", 20.0, 0.23965840227731816, 0.05683622343113747),
 ]
 
