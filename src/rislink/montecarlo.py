@@ -238,13 +238,16 @@ def tally_sweep(plans: Iterable[SimPlan], gamma_th: float | None = None, mod=Non
     correlated. Units run on one thread pool of a worker per available
     CPU (at most one per unit); the sums are combined in unit order, so
     the result does not depend on the worker count. A threshold of 0 or
-    infinity needs no samples, so an outage-only pass at one draws none.
+    infinity needs no samples, so an outage-only pass at one draws none;
+    an empty sweep returns () and starts no pool.
     """
     plans = tuple(plans)
     if any(replace(p, pt_dbm=plans[0].pt_dbm) != plans[0] for p in plans):
         raise ValueError("the plans of one sweep may differ only in pt_dbm")
     if gamma_th is not None and not gamma_th >= 0:
         raise ValueError(f"gamma_th must be nonnegative, got {gamma_th}")
+    if not plans:
+        return ()
     n_trials = plans[0].n_trials
     count_th = gamma_th if gamma_th is not None and 0 < gamma_th < math.inf else None
     if count_th is None and mod is None:

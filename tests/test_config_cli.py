@@ -281,11 +281,13 @@ def test_run_sweep_simulates_once_for_both_quantities(monkeypatch):
 
 
 def test_sweep_leaves_only_the_failure_free_power_empty():
-    # no outage in 20,000 trials at 70 dBm; the powers sharing its draws still estimate theirs
-    cfg = replace(parse_config_text(MINIMAL + "methods = mc\n"), pt_dbm=(10.0, 20.0, 70.0))
+    # no outage in 20,000 trials at 85 dBm; the powers sharing its draws still estimate theirs.
+    # Exact: outage 4.9e-7 and P(snr <= 745) 3.7e-4 there, so a stream has no failure and a
+    # nonzero BER sum with probability 0.99 (0.59 at 70 dBm, where this test stood before).
+    cfg = replace(parse_config_text(MINIMAL + "methods = mc\n"), pt_dbm=(10.0, 20.0, 85.0))
     result = run_sweep(cfg, "both")
     assert result.warnings == (
-        "outage_mc failed at pt=70 dBm: no failures in 20000 trials; outage < 1.500e-04 (95% one-sided)",
+        "outage_mc failed at pt=85 dBm: no failures in 20000 trials; outage < 1.500e-04 (95% one-sided)",
     )
     mod = ModulationParams(cfg.modulation_a, cfg.modulation_b)
     for row in result.rows:
@@ -293,7 +295,7 @@ def test_sweep_leaves_only_the_failure_free_power_empty():
         mc = tally(SimPlan(cfg.system, row[0], cfg.mc_trials, cfg.mc_seed, cfg.scenario), cfg.gamma_th, mod)
         ber = mc.ber()
         assert (cells["ber_mc"], cells["ber_mc_se"]) == (ber.mean, ber.std_error)
-        if row[0] == 70.0:
+        if row[0] == 85.0:
             assert (cells["outage_mc"], cells["outage_mc_se"]) == (None, None)
             assert mc.failures == 0
         else:
@@ -657,22 +659,24 @@ def test_cli_method_without_a_column_falls_back_to_mc(tmp_path, capsys):
 
 def test_both_sweep_simulates_a_quantity_no_method_gives():
     # the asymptote gives outage only: a "both" sweep simulates BER, and says so once
-    cfg = replace(parse_config_text(MINIMAL + "methods = asymptotic\n"), pt_dbm=(100.0,))
+    cfg = replace(parse_config_text(MINIMAL + "methods = asymptotic\n"), pt_dbm=(130.0,))
     result = run_sweep(cfg, "both")
     assert result.columns[:2] == ("pt_dbm", "outage_asymptotic") and "ber_mc" in result.columns
     assert [w for w in result.warnings if "ber" in w] == [
         "no requested method gives a ber value; Monte-Carlo fills it",
-        "ber_mc failed at pt=100 dBm: conditional error is 0 in all 20000 trials; BER too small to estimate",
+        "ber_mc failed at pt=130 dBm: conditional error is 0 in all 20000 trials; BER too small to estimate",
     ]
 
 
 def test_ber_sweep_leaves_an_underflowed_mc_ber_empty():
-    # every trial's conditional error underflows to 0 at 100 dBm: no estimate, not 0 +- 0
-    cfg = replace(parse_config_text(MINIMAL + "methods = mc\n"), pt_dbm=(100.0,))
+    # every trial's conditional error underflows to 0 at 130 dBm: no estimate, not 0 +- 0.
+    # erfc(sqrt(snr)) underflows for snr > 745, and exact P(snr <= 745) is 2.2e-9 there, so
+    # a stream of 20,000 trials has none with probability 0.99996 (0.67 at 100 dBm, before).
+    cfg = replace(parse_config_text(MINIMAL + "methods = mc\n"), pt_dbm=(130.0,))
     result = run_sweep(cfg, "ber")
     assert result.columns == ("pt_dbm", "ber_mc", "ber_mc_se")
-    assert result.rows == ((100.0, None, None),)
-    assert len(result.warnings) == 1 and result.warnings[0].startswith("ber_mc failed at pt=100 dBm")
+    assert result.rows == ((130.0, None, None),)
+    assert len(result.warnings) == 1 and result.warnings[0].startswith("ber_mc failed at pt=130 dBm")
     assert "BER" in result.warnings[0]
 
 

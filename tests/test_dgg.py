@@ -4,6 +4,7 @@ The analytic product density is checked against a brute-force convolution
 integral oracle built only from the single-factor generalized Gamma
 density (no contour integrals), so the two routes share no code.
 """
+import collections
 import math
 
 import numpy as np
@@ -21,11 +22,12 @@ from rislink.dgg import (
     dgg_moment,
     dgg_pdf,
     dgg_sample,
+    gg_factors,
     mellin_layout,
     product_mgf,
     product_pdf,
 )
-from rislink.dgg import _MAX_SUM_SHAPE, _standard_gamma
+from rislink.dgg import _BLOCK, _MAX_SUM_SHAPE, _GammaRows
 
 FP1 = DggParams(2.0, 1.0, 2.0, 2.0, 1.5793, 0.9671)
 FP3 = DggParams(1.0, 1.5, 1.0, 2.5, 1.5793, 0.9671)
@@ -185,40 +187,138 @@ def test_pdf_nonnegative_property(a1, b1, a2, b2):
         assert dgg_pdf(p, x) >= -1e-12
 
 
-def _dgg_formula(p, rng, n):
-    """The dGG sampler written out of place, draw for draw."""
-    g1 = _standard_gamma(rng, p.beta1, n)
-    g2 = _standard_gamma(rng, p.beta2, n)
-    return (p.omega1 / p.beta1 * g1) ** (1.0 / p.alpha1) * (p.omega2 / p.beta2 * g2) ** (1.0 / p.alpha2)
+def _gamma_draws(shapes, seed, n):
+    """n standard Gamma draws of each shape from the sampler's block routine, one row per shape."""
+    rows = _GammaRows(tuple(shapes))
+    rng = np.random.default_rng(seed)
+    blocks = [np.array(rows.draw(rng, np.empty((rows.size, min(_BLOCK, n - start))))) for start in range(0, n, _BLOCK)]
+    return np.concatenate(blocks, axis=1)
+
+
+def _amplitude_formula(block, rng, m):
+    """One block of the sampler written out of place, draw for draw, from its documented layout."""
+    factors = gg_factors(block)
+    shapes = [beta for _, beta, _ in factors]
+    ks = [math.floor(s) for s in shapes]
+    half = [s - k == 0.5 and k <= _MAX_SUM_SHAPE for s, k in zip(shapes, ks)]
+    whole = [s == k and 1 <= k <= _MAX_SUM_SHAPE for s, k in zip(shapes, ks)]
+    heads = [j for j in range(len(shapes)) if (half[j] or whole[j]) and ks[j] >= 1]
+    halves = [j for j in range(len(shapes)) if half[j]]
+    pairs = (len(halves) + 1) // 2
+    further = sum(ks[j] - 1 for j in heads)
+    rows = len(heads) + pairs + further + pairs
+    u = 1.0 - rng.random((rows, m)) if rows else None
+    g = {}
+    more = iter(u[len(heads) + pairs : len(heads) + pairs + further] if rows else ())
+    for i, j in enumerate(heads):
+        p = u[i]
+        for _ in range(ks[j] - 1):
+            p = p * next(more)
+        g[j] = -np.log(p)
+    if pairs:
+        e = -np.log(u[len(heads) : len(heads) + pairs])
+        t2 = np.tan(u[rows - pairs :] * (0.5 * math.pi)) ** 2
+        h1 = e / (t2 + 1.0)
+        h2 = h1 * t2
+        for i, j in enumerate(halves):
+            h = (h1 if i % 2 == 0 else h2)[i // 2]
+            g[j] = g[j] + h if j in g else h
+    for j, s in enumerate(shapes):
+        if j not in g:
+            g[j] = rng.standard_gamma(s, m)
+    groups = {}
+    for j, (alpha, _, _) in enumerate(factors):
+        groups.setdefault(1.0 / alpha, []).append(j)
+    scale = math.prod((omega / beta) ** (1.0 / alpha) for alpha, beta, omega in factors)
+    x = None
+    for power, members in groups.items():
+        acc = g[members[0]]
+        for j in members[1:]:
+            acc = acc * g[j]
+        acc = acc**power
+        x = acc * scale if x is None else x * acc
+    return x
 
 
 @pytest.mark.parametrize("preset", ["FP1", "FP2", "FP3"])
 def test_in_place_sampling_matches_formula_bit_for_bit(preset):
-    # The hops' exponents 1/alpha are 1, 2/3 and 0.5: numpy's identity,
-    # general-pow and sqrt paths of `**=` must agree with `**`.
+    # The factors' exponents 1/alpha are 1, 2/3 and 0.5: numpy's identity,
+    # general-pow and sqrt paths must agree with `**`. The last block is partial.
+    n = _BLOCK + 10_001
     cascade, direct = preset_fading(preset)
-    for hop in (cascade.hop1, cascade.hop2, direct):
-        got = dgg_sample(hop, np.random.default_rng(5), 10_001)
-        assert np.array_equal(got, _dgg_formula(hop, np.random.default_rng(5), 10_001))
-    ref_rng = np.random.default_rng(6)
-    expect = _dgg_formula(cascade.hop1, ref_rng, 10_001) * _dgg_formula(cascade.hop2, ref_rng, 10_001)
-    assert np.array_equal(cascade_sample(cascade, np.random.default_rng(6), 10_001), expect)
+    for block, sample in ((cascade.hop1, dgg_sample), (direct, dgg_sample), (cascade, cascade_sample)):
+        got = sample(block, np.random.default_rng(5), n)
+        ref_rng = np.random.default_rng(5)
+        expect = np.concatenate([_amplitude_formula(block, ref_rng, min(_BLOCK, n - s)) for s in range(0, n, _BLOCK)])
+        assert np.array_equal(got, expect)
 
 
-@pytest.mark.parametrize("k", range(2, _MAX_SUM_SHAPE + 1))
-def test_integer_shape_draws_follow_gamma_law(k):
-    # Gamma(k): mean k, variance k, fourth central moment 3k^2 + 6k,
-    # E[log g] = psi(k) with variance psi'(k).
-    n = 400_000
-    g = _standard_gamma(np.random.default_rng(21), float(k), n)
+def _check_gamma_law(g, shape):
+    # Gamma(shape): mean and variance shape, fourth central moment
+    # 3 shape^2 + 6 shape, E[log g] = psi(shape) with variance psi'(shape).
+    n = g.size
     assert g.min() > 0
-    assert abs(g.mean() - k) <= 5 * math.sqrt(k / n)
-    assert abs(g.var() - k) <= 5 * math.sqrt((2 * k**2 + 6 * k) / n)
-    assert abs(np.log(g).mean() - psi(k)) <= 5 * math.sqrt(polygamma(1, k) / n)
-    assert stats.kstest(g, stats.gamma(k).cdf).pvalue > 1e-3
+    assert abs(g.mean() - shape) <= 5 * math.sqrt(shape / n)
+    assert abs(g.var() - shape) <= 5 * math.sqrt((2 * shape**2 + 6 * shape) / n)
+    assert abs(np.log(g).mean() - psi(shape)) <= 5 * math.sqrt(polygamma(1, shape) / n)
+    assert stats.kstest(g, stats.gamma(shape).cdf).pvalue > 1e-3
 
 
-@pytest.mark.parametrize("shape", [1.0, 1.5, 2.1, _MAX_SUM_SHAPE + 1.0])
+@pytest.mark.parametrize("k", range(1, _MAX_SUM_SHAPE + 1))
+def test_integer_shape_draws_follow_gamma_law(k):
+    _check_gamma_law(_gamma_draws([float(k)], 21, 400_000)[0], k)
+
+
+@pytest.mark.parametrize("k", range(0, _MAX_SUM_SHAPE + 1))
+def test_half_integer_shape_draws_follow_gamma_law(k):
+    _check_gamma_law(_gamma_draws([k + 0.5], 23, 400_000)[0], k + 0.5)
+
+
+def test_tan_split_pair_is_two_independent_halves():
+    # E*B and E*(1 - B), B ~ Beta(1/2, 1/2): each Gamma(1/2), independent, summing to E ~ Exp(1)
+    n = 400_000
+    h1, h2 = _gamma_draws([0.5, 0.5], 24, n)
+    assert stats.kstest(h1 + h2, stats.expon.cdf).pvalue > 1e-3
+    for h in (h1, h2):
+        assert stats.kstest(h, stats.gamma(0.5).cdf).pvalue > 1e-3
+    assert abs(np.corrcoef(h1, h2)[0, 1]) <= 5 / math.sqrt(n)
+
+
+@pytest.mark.parametrize("shape", [0.3, 2.1, _MAX_SUM_SHAPE + 1.0, _MAX_SUM_SHAPE + 1.5])
 def test_other_shapes_draw_numpy_gamma_bits(shape):
-    got = _standard_gamma(np.random.default_rng(22), shape, 10_001)
-    assert np.array_equal(got, np.random.default_rng(22).gamma(shape, size=10_001))
+    n = _BLOCK + 10_001
+    got = _gamma_draws([shape], 22, n)[0]
+    assert np.array_equal(got, np.random.default_rng(22).gamma(shape, size=n))
+
+
+class _CountingGenerator:
+    """A generator that counts the calls of each of its methods."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("preset", ["FP1", "FP2", "FP3"])
+def test_preset_shapes_draw_one_uniform_call_per_block(preset):
+    # Every preset cascade and the FP1/FP2 direct links (shapes 1, 2, 1.5, 2.5)
+    # take one rng.random call per block and no standard_gamma; FP3's direct
+    # link (shape 2.1 twice) takes numpy's sampler for each factor instead.
+    n = 2 * _BLOCK + 1
+    cascade, direct = preset_fading(preset)
+    for block in (cascade, direct):
+        rng = _CountingGenerator(8)
+        dgg_sample(block, rng, n)
+        if preset == "FP3" and block is direct:
+            assert rng.calls == {"standard_gamma": 2 * 3}
+        else:
+            assert rng.calls == {"random": 3}
