@@ -7,7 +7,10 @@ The value computed is
 
 over vertical lines t_i = contour_re[i] + i*y_i, where each Gamma factor's
 argument is affine in the contour variables. Quadrature is a truncated
-trapezoid tensor product over at most MAX_DIMS members of the variables.
+tensor product over at most MAX_DIMS members of the variables, on the
+trapezoid grid k*h and the offset midpoint grid (k + 1/2)*h: both grids
+run in one pass, as two rows of every weight array, and their gap is the
+error estimate.
 
 A variable stands for a count of identical members, each with the
 variable's argument and its own copy of the variable's single-variable
@@ -15,18 +18,14 @@ variable's argument and its own copy of the variable's single-variable
 A spec's factors are one table, their arguments read by one rule
 (``_Factors.at``). Every Gamma factor that reads one variable folds into
 that variable's weight, log Gamma running once per point of its index
-line. A variable's weight starts as the kernel's unit phase on its axis,
-its own factors fold in once, and on the shared-step grid it is
-convolved once per member onto the lattice of the members' index sums.
-The grid sum then eliminates the variables along the joint factors'
-keys: a factor whose coefficients are a rational multiple of integer
-steps p_c reads the lattice indices m_c only through
-d = sum_c p_c * m_c, so its variables merge into one on d, their weights
-convolved after dilation by the steps, when every other factor reads
-them only through d too; a factor left with one variable folds into that
-variable's weight the same way. Only factors that no merge takes
-(coefficient ratios that are not rational, keys that do not nest) are
-evaluated at every point of a lattice.
+line, and the weight is convolved once per member onto the lattice of the
+members' index sums. The grid sum then eliminates the variables along the
+joint factors' keys: a factor whose coefficients are a rational multiple
+of integer steps p_c reads the lattice indices m_c only through
+d = sum_c p_c * m_c, so its variables merge into one on d when every
+other factor reads them only through d too. Only factors that no merge
+takes (coefficient ratios that are not rational, keys that do not nest)
+are evaluated at every point of a lattice.
 
 Each axis is truncated where Stirling's formula for every Gamma factor
 puts the integrand below the noise threshold along the axes and the two
@@ -290,7 +289,7 @@ def _merge_key(cols: np.ndarray, sizes):
     for col in sorted(cols, key=np.count_nonzero):
         S = np.flatnonzero(col)
         ratios = col[S] / min(col[S], key=abs)
-        lattice = math.prod(np.take(sizes, S))
+        lattice = math.prod(int(sizes[c]) for c in S)  # a Python int: an int64 product wraps at ten 128-point axes
         # every |ratio| >= 1, so past a denominator of `lattice` the key spans more values than the lattice has points
         denominators = [_denominator(r, lattice) for r in ratios]
         if None in denominators:
@@ -312,24 +311,33 @@ def _dilate(w: np.ndarray, p: int) -> np.ndarray:
 
 
 def _fold(sets, signs, origins, cols, h) -> np.ndarray:
-    """Multiply each variable's weights by the factors that read only it, a factor of no variable
-    going to the first, with one log Gamma call per variable on its index line z0 + i*h*c*k.
-
-    Returns each variable's log level factored out, its weights' absolute maximum kept at 1.
-    """
-    levels = np.zeros(len(sets))
+    """Multiply each variable's weights by the factors that read only it, a factor of no variable going to the
+    first, with one log Gamma call per variable on both rows' index lines z0 + i*h*c*k. Returns each row's log
+    level per variable factored out (over the row's own length), the weights' absolute maximum kept at 1."""
+    levels = np.zeros((2, len(sets)))
     homes = (cols != 0.0).argmax(axis=1)
     for v in np.unique(homes):
         mine = homes == v
-        k = np.arange(sets[v][0].size)
-        line = (signs[mine, None] * log_gamma(origins[mine, None] + 1j * h * cols[mine, v, None] * k)).sum(axis=0)
-        level = float(np.max(line.real))
-        x = np.exp(line - level)
-        signed, inner, absolute = sets[v][0] * x, sets[v][1] * x, sets[v][2] * np.abs(x)
-        scale = float(absolute.max())
-        sets[v] = [signed / scale, inner / scale, absolute / scale]
-        levels[v] = level + math.log(scale)
+        (signed, inner, absolute), n = sets[v]
+        k = np.arange(signed.shape[1])
+        line = (signs[mine, None] * log_gamma(origins[:, mine, None] + 1j * h * cols[mine, v, None] * k)).sum(axis=1)
+        level = np.max(line.real, axis=1, where=k < n[:, None], initial=-np.inf)
+        x = np.exp(line - level[:, None])
+        signed, inner, absolute = signed * x, inner * x, absolute * np.abs(x)
+        scale = absolute.max(axis=1)
+        sets[v] = [signed / scale[:, None], inner / scale[:, None], absolute / scale[:, None]], n
+        levels[:, v] = [lv + math.log(sc) for lv, sc in zip(level, scale)]
     return levels
+
+
+def _by_row(fn, sets):
+    """fn per weight kind of the variables' valid rows, as one variable's weights (zero-padded) and lengths."""
+    out = []
+    for k in range(3):
+        first, second = (fn([w[k][r, : n[r]] for w, n in sets]) for r in (0, 1))
+        out.append(np.zeros((2, first.size), dtype=first.dtype))
+        out[-1][0], out[-1][1, : second.size] = first, second
+    return out, np.array([first.size, second.size])
 
 
 def _contract(x: np.ndarray, weights) -> complex:
@@ -374,76 +382,72 @@ def _lattice_sum(signs, origins, cols, sets, h):
 
 
 def _tensor_pass(spec: FoxHSpec, axes_y, h, T):
-    """One equal-weight pass over the tensor grid, by elimination of the variables.
+    """One equal-weight pass over both grids of ``_make_axes``, by elimination of the variables.
 
-    Each variable's weights start as the kernel's unit phase on its axis;
-    its own factors fold into them once (``_fold``), and they are convolved
-    once per further member onto the lattice of the members' index sums.
-    Until no joint factor is left, the factors that read at most one
-    variable fold into its weights the same way, and the variables of a
-    factor whose key nests in every other factor merge into one variable on
-    that key (``_merge_key``, ``_dilate``); the sums are then products of
-    the weight sums. Factors that no merge takes are summed point by point
-    (``_lattice_sum``). With one member per variable this is the plain
-    tensor sum.
+    A variable's weights hold the trapezoid grid in row 0 and the midpoint grid
+    in row 1, each row valid over its own length and zero past it. They start
+    as the kernel's unit phase on the variable's axis; its own factors fold in
+    once (``_fold``), and they are convolved once per further member onto the
+    lattice of the members' index sums. Until no joint factor is left, the
+    factors that read at most one variable fold in the same way, and the
+    variables of a factor whose key nests in every other factor merge into one
+    on that key (``_merge_key``, on row 0's sizes, and ``_dilate``). Factors
+    that no merge takes are summed point by point (``_lattice_sum``).
 
-    Returns raw sums of exp(log integrand - ref) over the full grid, the
-    outer band (any |y_i| > T_i - 1, kept *signed* so the oscillatory
-    cancellation that shrinks the true tail is reflected), and the
-    absolute mass; ref is the log level factored out to avoid overflow.
+    Returns per row the raw sums of exp(log integrand - ref) over the full
+    grid, the outer band (any |y_i| > T_i - 1, kept *signed* so the
+    oscillatory cancellation that shrinks the true tail is reflected), and
+    the absolute mass; ref is the log level factored out to avoid overflow.
     """
-    f = spec.factors
-    logz = np.log(np.real(spec.args))
+    f, logz = spec.factors, np.log(np.real(spec.args))
+    # the midpoint row's last point pads it to the trapezoid row's length
+    valid = [np.arange(y.shape[1]) < [[y.shape[1]], [y.shape[1] - 1]] for y in axes_y]
     # the kernel z^-t at level -c*log z; signed, inner-box (every |y_i| <= T_i - 1) and absolute weights
-    ref = float(-np.multiply(spec.counts, spec.contour_re) @ logz)
-    phases = [np.exp(-1j * y * lz) for y, lz in zip(axes_y, logz)]
-    sets = [[w, np.where(np.abs(y) <= Ti - 1.0, w, 0.0), np.ones(y.size)] for w, y, Ti in zip(phases, axes_y, T)]
+    ref0 = float(-np.multiply(spec.counts, spec.contour_re) @ logz)
+    phases = [np.where(m, np.exp(-1j * y * lz), 0.0) for y, lz, m in zip(axes_y, logz, valid)]
+    sets = [([w, np.where(np.abs(y) <= Ti - 1.0, w, 0.0), m * 1.0], m.sum(axis=1))
+            for w, y, Ti, m in zip(phases, axes_y, T, valid)]
     # each factor's argument at index 0 of the index lines: a joint factor's line is over its members' index sums
-    origins = f.at(np.asarray(spec.contour_re) + 1j * np.array([y[0] for y in axes_y]))
+    origins = np.array([f.at(np.asarray(spec.contour_re) + 1j * np.array([y[r, 0] for y in axes_y])) for r in (0, 1)])
     # an own factor's level counts once per member
-    ref += float(f.counts @ _fold(sets, f.signs[f.own], origins[f.own], f.coeffs[f.own], h))
-    # Direct convolution, not an FFT: the FFT's absolute error would swamp the signed cancellation.
-    for v, n in enumerate(spec.counts):
-        sets[v] = [reduce(np.convolve, [w] * n) for w in sets[v]]
-    signs, origins, cols = f.signs[~f.own], origins[~f.own], f.coeffs[~f.own]
+    ref = [ref0 + float(f.counts @ lv) for lv in _fold(sets, f.signs[f.own], origins[:, f.own], f.coeffs[f.own], h)]
+    # Direct convolution on each row's own length, not an FFT: its absolute error would swamp the signed
+    # cancellation, and zeros past the length would change numpy's blocking of the products.
+    sets = [_by_row(lambda w: reduce(np.convolve, w * n), [s]) if n > 1 else s for s, n in zip(sets, spec.counts)]
+    signs, origins, cols = f.signs[~f.own], origins[:, ~f.own], f.coeffs[~f.own]
     while True:
         fold = np.count_nonzero(cols, axis=1) <= 1
-        ref += float(_fold(sets, signs[fold], origins[fold], cols[fold], h).sum())
-        signs, origins, cols = signs[~fold], origins[~fold], cols[~fold]
-        sizes = [w[0].size for w in sets]
-        key = _merge_key(cols, sizes) if signs.size else None
+        ref = [r + float(lv.sum()) for r, lv in zip(ref, _fold(sets, signs[fold], origins[:, fold], cols[fold], h))]
+        signs, origins, cols = signs[~fold], origins[:, ~fold], cols[~fold]
+        key = _merge_key(cols, [w[0].shape[1] for w, _ in sets]) if signs.size else None
         if key is None:
             break
         S, p, lam = key
         # the merged variable's index 0 is the least key
-        origins = origins + 1j * h * lam * sum(p_c * (sizes[c] - 1) for c, p_c in zip(S, p) if p_c < 0)
-        merged = [reduce(np.convolve, [_dilate(sets[c][k], p_c) for c, p_c in zip(S, p)]) for k in range(3)]
+        least = sum(p_c * (sets[c][1] - 1) for c, p_c in zip(S, p) if p_c < 0)
+        origins = origins + 1j * h * lam * np.reshape(least, (-1, 1))
+        merged = _by_row(lambda w: reduce(np.convolve, map(_dilate, w, p)), [sets[c] for c in S])
         sets = [w for c, w in enumerate(sets) if c not in S] + [merged]
         cols = np.column_stack([np.delete(cols, S, axis=1), lam])
-    # a variable no factor reads contributes its weight sums
     read = cols.any(axis=0)
-    sums = np.ones(3, dtype=complex)
-    for w, r in zip(sets, read):
-        if not r:
-            sums *= [x.sum() for x in w]
-    if signs.size:
-        totals, level = _lattice_sum(signs, origins, cols[:, read], [w for w, r in zip(sets, read) if r], h)
-        sums *= totals
-        ref += level
-    total, in_box, absmass = sums
-    return total, total - in_box, absmass.real, ref
+    results = []
+    for r in (0, 1):
+        rows = [[x[r, : n[r]] for x in w] for w, n in sets]
+        # a variable no factor reads contributes its weight sums
+        unread = ([x.sum() for x in w] for w, u in zip(rows, read) if not u)
+        sums = reduce(np.multiply, unread, np.ones(3, dtype=complex))
+        lattice = [w for w, u in zip(rows, read) if u]
+        totals, level = _lattice_sum(signs, origins[r], cols[:, read], lattice, h) if signs.size else (1.0, 0.0)
+        total, in_box, absmass = sums * totals
+        results.append((total, total - in_box, absmass.real, ref[r] + level))
+    return results
 
 
-def _make_axes(T: np.ndarray, h: float, shift: float = 0.0):
-    """Symmetric grids k*h (trapezoid) or (k + 1/2)*h (midpoint)."""
-    axes = []
-    for Ti in T:
-        k = max(2, math.ceil(Ti / h))
-        if shift:
-            axes.append((np.arange(-k, k) + 0.5) * h)
-        else:
-            axes.append(np.arange(-k, k + 1) * h)
-    return axes
+def _make_axes(T: np.ndarray, h: float):
+    """Each variable's trapezoid grid k*h (row 0) and midpoint grid (k + 1/2)*h (row 1), |k| <= max(2, ceil(T/h)):
+    the midpoint row's last point pads it to the trapezoid row's length."""
+    ks = [np.arange(-k, k + 1) for k in (max(2, math.ceil(Ti / h)) for Ti in T)]
+    return [np.stack([k * h, (k + 0.5) * h]) for k in ks]
 
 
 def _initial_step(spec: FoxHSpec, quad: QuadratureConfig) -> float:
@@ -481,13 +485,11 @@ def eval_foxh(spec: FoxHSpec, quad: QuadratureConfig = QuadratureConfig()):
     h = _initial_step(spec, quad)
     norm = (2.0 * math.pi) ** n
 
-    value = None
-    delta = math.inf
+    value, delta = None, math.inf
     for refinement in range(_MAX_REFINEMENTS + 1):
-        # Two equal-step grids, one offset by h/2: both converge
-        # exponentially in 1/h, so their disagreement bounds the error
-        # without the 2^n cost of halving the step for comparison.
-        results = [_tensor_pass(spec, _make_axes(T, h, shift), h, T) for shift in (0.0, 0.5)]
+        # Two equal-step grids, one offset by h/2, in one pass: both converge exponentially in 1/h, so their
+        # disagreement bounds the error without the 2^n cost of halving the step for comparison.
+        results = _tensor_pass(spec, _make_axes(T, h), h, T)
         ref = max(r[3] for r in results)
         scale_log = ref + n * math.log(h) - math.log(norm)
         vals, bands, noises = [], [], []
@@ -496,10 +498,8 @@ def eval_foxh(spec: FoxHSpec, quad: QuadratureConfig = QuadratureConfig()):
             vals.append(_from_log(scale_log, adj * total))
             bands.append(abs(_from_log(scale_log, adj * band)))
             noises.append(abs(_from_log(scale_log - 30.0, adj * absmass)))
-        value = 0.5 * (vals[0] + vals[1])
-        delta = abs(vals[0] - vals[1])
-        trunc = max(bands)
-        noise = max(noises)
+        value, delta = 0.5 * (vals[0] + vals[1]), abs(vals[0] - vals[1])
+        trunc, noise = max(bands), max(noises)
         # cancellation noise floor: below it the result is numerically zero
         floor = quad.rel_tol * (abs(value) + 1e-300) + noise
         if delta <= floor and trunc <= floor:

@@ -82,11 +82,12 @@ def branch_ber(
     Integrating the conditional error against the SNR density by parts
     leaves a Gamma-weighted Mellin transform of the CDF, which folds into
     the CDF's own contour integral as one extra Gamma factor and a
-    rescaling of the SNR arguments by b.
+    rescaling of the SNR arguments by b. Q is at most 1/2 at SNR >= 0, so
+    a value outside (0, a/2] is refused.
     """
     ber = mod.a * snr_functional(elements, direct, budget, "ber", 1.0 / mod.b, quad)
-    if not 0.0 < ber < 1.0:
-        raise RuntimeError(f"average BER {ber} outside (0, 1); evaluation unreliable")
+    if not 0.0 < ber <= 0.5 * mod.a:
+        raise RuntimeError(f"average BER {ber} outside (0, a/2 = {0.5 * mod.a:g}]; evaluation unreliable")
     return ber
 
 

@@ -6,6 +6,7 @@ The reduction corpus pins the evaluator against elementary closed forms:
     Bessel:    (1/2pi i) int Gamma(t+nu/2)Gamma(t-nu/2) z^{-t} dt = 2 K_nu(2 sqrt(z))
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -327,13 +328,17 @@ def test_truncation_keeps_exact_level_of_constant_factors():
 
 def _assert_pass_matches_point_by_point_sum(monkeypatch, spec, T, h, shift):
     # Reference: the member-expanded integrand evaluated at every point of a
-    # small tensor grid; tiny chunks exercise the rescaling between chunks.
-    axes = foxh._make_axes(T, h, shift)
+    # small tensor grid, the trapezoid grid (shift 0, row 0 of the one pass)
+    # or the midpoint grid (shift 1/2, row 1) without its pad point; tiny
+    # chunks exercise the rescaling between chunks.
+    row = int(shift > 0.0)
     monkeypatch.setattr(foxh, "_CHUNK_ROWS", 100)
-    total, band, absmass, ref = foxh._tensor_pass(spec, axes, h, T)
+    total, band, absmass, ref = foxh._tensor_pass(spec, foxh._make_axes(T, h), h, T)[row]
 
     full, T = _expand_members(spec), np.repeat(T, spec.counts)
-    y = np.stack(np.meshgrid(*foxh._make_axes(T, h, shift), indexing="ij"), axis=-1).reshape(-1, full.num_vars)
+    axes = [y[row, : y.shape[1] - row] for y in foxh._make_axes(T, h)]
+    assert all(np.allclose(np.diff(y), h) and y[0] == -y[-1] for y in axes)
+    y = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, full.num_vars)
     v = np.exp(_log_at(full, y) - ref)
     outer = (np.abs(y) > T - 1.0).any(axis=1)
     assert absmass == pytest.approx(np.abs(v).sum(), rel=1e-12)
@@ -428,6 +433,17 @@ def test_cross_keys_match_point_by_point_sum(monkeypatch, build, T, point_by_poi
     assert bool(calls) == point_by_point
 
 
+def test_merge_key_counts_large_lattices_exactly():
+    # ten 128-point axes hold 128^10 = 2^70 points, past int64: the key over
+    # all ten, of unit steps, spans 1,271 values and must still be taken
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        S, p, lam = foxh._merge_key(np.ones((1, 10)), [128] * 10)
+    assert np.array_equal(S, np.arange(10))
+    assert np.array_equal(p, np.ones(10))
+    assert np.array_equal(lam, [1.0])
+
+
 def _count_log_gamma(monkeypatch) -> list:
     """Patch foxh's log_gamma to append each call's element count to the returned list."""
     counted = []
@@ -447,8 +463,9 @@ def test_identical_n2_outage_evaluates_few_log_gammas(monkeypatch):
     # 162k elements once per lattice point, 29M point by point. The
     # truncation evaluates log Gamma once, at y = 0: exact probe scans
     # made 95 of 128 calls and 12.9k of 19.9k elements. Each fold makes one
-    # call per variable it multiplies: 9 calls, against 21 with one call per
-    # own factor and axis.
+    # call per variable it multiplies, on the trapezoid and midpoint grids at
+    # once: 5 calls, against 9 with one pass per grid and 21 with one call
+    # per own factor, axis and grid.
     from rislink.channel import budget
     from rislink.config import default_geometry, preset_fading
     from rislink.exact_stats import RisEnsemble, combined_snr_stat
@@ -459,19 +476,21 @@ def test_identical_n2_outage_evaluates_few_log_gammas(monkeypatch):
     counted = _count_log_gamma(monkeypatch)
     assert 0.0 < outage_exact(stat, 1.0) < 1.0
     assert sum(counted) < 8_000
-    assert len(counted) < 12
+    assert len(counted) <= 5
 
 
 def test_heterogeneous_n2_outage_evaluates_few_log_gammas(monkeypatch):
     # three variables: 7.7M elements once per point of the K^3 lattice, 44k
     # with exact probe scans for the truncation, 31k with each cross factor
-    # gathered from its line onto the lattice; about 6.7k merged along the keys
+    # gathered from its line onto the lattice; about 6.7k merged along the
+    # keys. Both grids in one pass: 6 calls, against 11 with one pass per grid.
     from rislink.metrics import outage_exact
 
     stat = _heterogeneous_n2_stat()
     counted = _count_log_gamma(monkeypatch)
     assert 0.0 < outage_exact(stat, 1.0) < 1.0
     assert sum(counted) < 8_000
+    assert len(counted) <= 6
 
 
 def _ensemble_stat(elements, direct):
