@@ -37,7 +37,8 @@ from .foxh import (
     dump_spec,
     eval_foxh,
 )
-from .metrics import ModulationParams, branch_asymptote, branch_ber, branch_diversity, branch_outage
+from .exact_stats import CombinedSnrStat
+from .metrics import ModulationParams, ber_exact, diversity, outage_asymptotic, outage_exact
 from .montecarlo import SimPlan, tally_sweep
 
 __all__ = ["CurveResult", "run_sweep", "emit_csv", "main"]
@@ -56,16 +57,16 @@ class CurveResult:
 
 
 # Which methods fill which quantity, in column order, and the call that fills
-# each cell from (config, budget, modulation, Monte-Carlo tally).
+# each cell from (config, branch-set SNR stat, modulation, Monte-Carlo tally).
 _FILLS = {
     "outage": {
-        "exact": lambda cfg, bud, mod, mc: branch_outage(*cfg.system.branches(cfg.scenario), bud, cfg.gamma_th),
-        "asymptotic": lambda cfg, bud, mod, mc: branch_asymptote(*cfg.system.branches(cfg.scenario), bud, cfg.gamma_th),
-        "mc": lambda cfg, bud, mod, mc: mc.outage(),
+        "exact": lambda cfg, stat, mod, mc: outage_exact(stat, cfg.gamma_th),
+        "asymptotic": lambda cfg, stat, mod, mc: outage_asymptotic(stat, cfg.gamma_th),
+        "mc": lambda cfg, stat, mod, mc: mc.outage(),
     },
     "ber": {
-        "exact": lambda cfg, bud, mod, mc: branch_ber(*cfg.system.branches(cfg.scenario), bud, mod),
-        "mc": lambda cfg, bud, mod, mc: mc.ber(),
+        "exact": lambda cfg, stat, mod, mc: ber_exact(stat, mod),
+        "mc": lambda cfg, stat, mod, mc: mc.ber(),
     },
 }
 
@@ -87,7 +88,7 @@ def _effective_methods(config: ScenarioConfig, quantities, warnings: list[str]) 
         unavailable.update((m, f"{routes[m]} for scenario '{config.scenario}'") for m in routes if m in methods)
     elif "exact" in methods:
         # MAX_DIMS counts members: one per element, one more for the direct link
-        members = len(branches[0]) + (branches[1] is not None)
+        members = len(branches.elements) + (branches.direct is not None)
         if members > MAX_DIMS:
             unavailable["exact"] = f"{members} members exceed MAX_DIMS={MAX_DIMS}"
     for method in methods:
@@ -120,6 +121,7 @@ def run_sweep(config: ScenarioConfig, quantity: str = "outage") -> CurveResult:
     columns = ["pt_dbm"] + [c for pair in pairs for c in _columns(*pair)]
     mod = ModulationParams(config.modulation_a, config.modulation_b)
 
+    branches = config.system.branches(config.scenario)
     pts = sorted(config.pt_dbm)
     mcs = [None] * len(pts)
     if "mc" in methods:
@@ -133,10 +135,11 @@ def run_sweep(config: ScenarioConfig, quantity: str = "outage") -> CurveResult:
     for pt, mc in zip(pts, mcs):
         cells: dict[str, float] = {"pt_dbm": pt}
         bud = budget(config.system.geometry, pt, config.system.noise_dbm)
+        stat = CombinedSnrStat(branches, bud) if branches is not None else None
         for q, m in pairs:
             names = _columns(q, m)
             try:
-                value = _FILLS[q][m](config, bud, mod, mc)
+                value = _FILLS[q][m](config, stat, mod, mc)
                 cells.update(zip(names, (value.mean, value.std_error) if m == "mc" else (value,)))
             except (RuntimeError, ValueError) as e:
                 warnings.append(f"{names[0]} failed at pt={pt:g} dBm: {e}")
@@ -225,7 +228,7 @@ def _cmd_diversity(args) -> int:
     if branches is None:
         print(f"error: no diversity orders for scenario '{config.scenario}'", file=sys.stderr)
         return EXIT_ERROR
-    report = branch_diversity(*branches)
+    report = diversity(branches)
     print(f"g_out = {report.g_out:.6g}")
     print(f"g_ber = {report.g_ber:.6g}")
     print(f"per_element_minima = {[round(m, 6) for m in report.per_element_minima]}")
@@ -279,9 +282,12 @@ def _cmd_verify(args) -> int:
 
 
 def _check_spec_numbers(payload) -> None:
-    """Refuse non-numbers, which FoxHSpec would parse, and a sign or orientation other than the integer 1 or -1."""
+    """Refuse a field foxh-eval does not read, non-numbers, which FoxHSpec would parse,
+    and a sign or orientation other than the integer 1 or -1."""
+    _check_fields(payload, ("args", "terms", "contour_re"), "spec")
     fields = [("args", payload["args"]), ("contour_re", payload.get("contour_re") or [])]
     for t in payload["terms"]:
+        _check_fields(t, ("offset", "coeffs", "sign", "orientation"), f"term {t!r}")
         fields += [("offset", [t["offset"]]), ("coeffs", t["coeffs"])]
         if any(type(t.get(k, 1)) is not int or t.get(k, 1) not in (1, -1) for k in ("sign", "orientation")):
             raise TypeError(f"sign or orientation of term {t!r} is not the integer 1 or -1")
@@ -291,6 +297,13 @@ def _check_spec_numbers(payload) -> None:
         for v in values:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise TypeError(f"'{name}' entry {v!r} is not a number")
+
+
+def _check_fields(obj, known: tuple[str, ...], where: str) -> None:
+    """Refuse a JSON object with a field outside ``known``: it would be dropped unread."""
+    unknown = sorted(set(obj) - set(known)) if isinstance(obj, dict) else []
+    if unknown:
+        raise TypeError(f"{where} has unknown field(s) {unknown}; expected only {list(known)}")
 
 
 def _cmd_foxh_eval(args) -> int:

@@ -128,13 +128,13 @@ class SystemConfig:
     def ensemble(self) -> RisEnsemble:
         return RisEnsemble(elements=self.elements, direct=self.direct)
 
-    def branches(self, scenario: str) -> tuple[tuple[CascadeParams, ...], DggParams | None] | None:
-        """(elements, direct | None) that the exact and Monte-Carlo routes evaluate; None for the relay."""
+    def branches(self, scenario: str) -> RisEnsemble | None:
+        """The branch set that the exact and Monte-Carlo routes evaluate; None for the relay."""
         branch_set = _BRANCH_SETS[scenario]
         if branch_set is None:
             return None
         reflected, direct = branch_set
-        return (self.elements if reflected else (), self.direct if direct else None)
+        return RisEnsemble(self.elements if reflected else (), self.direct if direct else None)
 
 
 def preset_system(name: str, n_elements: int) -> SystemConfig:

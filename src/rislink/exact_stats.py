@@ -31,19 +31,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RisEnsemble:
-    """Per-element cascade fading plus the direct-link fading."""
+    """A branch set: per-element cascade fading and the direct-link fading.
+
+    Empty ``elements`` is the direct link alone and ``direct=None`` the
+    reflected branch alone; a set needs at least one of the two."""
 
     elements: tuple[CascadeParams, ...]
-    direct: DggParams
+    direct: DggParams | None
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
-        if not self.elements:
-            raise ValueError("ensemble needs at least one reflecting element")
-
-    @property
-    def n_elements(self) -> int:
-        return len(self.elements)
+        if not self.elements and self.direct is None:
+            raise ValueError("ensemble needs a reflecting element or a direct link")
 
     @classmethod
     def identical(cls, n: int, cascade: CascadeParams, direct: DggParams) -> "RisEnsemble":
@@ -52,6 +51,8 @@ class RisEnsemble:
 
 @dataclass(frozen=True)
 class CombinedSnrStat:
+    """The SNR of a branch set at a link budget: what each ``metrics`` quantity evaluates."""
+
     ensemble: RisEnsemble
     budget: LinkBudget
 
@@ -99,6 +100,8 @@ def snr_spec(
         raise ValueError(f"functional must be one of {tuple(_FUNCTIONAL_TERMS)}, got '{functional}'")
     if x <= 0:
         raise ValueError("requires x > 0")
+    if not elements and direct is None:
+        raise ValueError("requires a reflecting element or a direct link")
     laws: dict[tuple, list] = {}  # law -> [its layout, its element count]
     for block, count in Counter(elements).items():
         layout = mellin_layout(block)

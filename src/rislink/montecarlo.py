@@ -99,15 +99,14 @@ def _draw_gains(plan: SimPlan, rng: np.random.Generator, n: int) -> list[np.ndar
         hops = config.elements[0]
         amplitudes = [dgg_sample(hops.hop1, rng, n), dgg_sample(hops.hop2, rng, n)]
     else:
-        elements, direct = branches
         amplitudes = []
-        if elements:
+        if branches.elements:
             r = np.zeros(n)
-            for cascade in elements:
+            for cascade in branches.elements:
                 r += cascade_sample(cascade, rng, n)
             amplitudes.append(r)
-        if direct is not None:
-            amplitudes.append(dgg_sample(direct, rng, n))
+        if branches.direct is not None:
+            amplitudes.append(dgg_sample(branches.direct, rng, n))
     for x in amplitudes:
         x **= 2
     return amplitudes
@@ -120,9 +119,8 @@ def _scales(plan: SimPlan) -> tuple[tuple[float, ...], np.ufunc]:
     branches = config.branches(plan.scenario)
     if branches is None:
         return relay_hop_budgets(config.geometry, plan.pt_dbm, config.noise_dbm), np.minimum
-    elements, direct = branches
     bud = budget(config.geometry, plan.pt_dbm, config.noise_dbm)
-    return (bud.gamma0_ris,) * bool(elements) + (bud.gamma0_d,) * (direct is not None), np.add
+    return (bud.gamma0_ris,) * bool(branches.elements) + (bud.gamma0_d,) * (branches.direct is not None), np.add
 
 
 def _snr(gains: list[np.ndarray], scales: tuple[float, ...], join: np.ufunc, out: list[np.ndarray]) -> np.ndarray:

@@ -557,7 +557,7 @@ def test_cli_verify_fails_when_a_value_is_missing(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("exact route broken")
 
-    monkeypatch.setattr(cli, "branch_outage", broken)
+    monkeypatch.setattr(cli, "outage_exact", broken)
     assert main(["verify", "--trials", "20000", "--quiet"]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert "# verify_failures: 4\n" in captured.out
@@ -725,6 +725,9 @@ def test_cli_foxh_eval(tmp_path, capsys):
         {"args": [2.5], "terms": [{"offset": 0.0, "coeffs": [1.0], "sign": 1.0}]},
         {"args": [2.5], "terms": [{"offset": 0.0, "coeffs": [1.0], "orientation": 1.0}]},
         {"args": [2.5], "terms": [{"offset": 0.0, "coeffs": [1.0], "sign": 2}]},
+        # a field foxh-eval does not read is refused: dropping counts=(2,) or a misspelled sign changes the value
+        {"args": [2.5], "counts": [2], "terms": [{"offset": 0.0, "coeffs": [1.0], "sgn": -1}]},
+        {"args": [2.5], "terms": [{"offset": 0.0, "coeffs": [1.0], "sgn": -1}]},
     ],
     ids=[
         "empty-contour",
@@ -745,6 +748,8 @@ def test_cli_foxh_eval(tmp_path, capsys):
         "float-sign",
         "float-orientation",
         "two-sign",
+        "unknown-fields",
+        "unknown-term-field",
     ],
 )
 def test_cli_foxh_eval_invalid_spec_is_error(request, tmp_path, capsys, spec):
@@ -754,7 +759,7 @@ def test_cli_foxh_eval_invalid_spec_is_error(request, tmp_path, capsys, spec):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "value =" not in captured.out
-    if request.node.callspec.id.startswith(("string-", "bool-", "huge-", "float-", "two-")):
+    if request.node.callspec.id.startswith(("string-", "bool-", "huge-", "float-", "two-", "unknown-")):
         assert captured.err.startswith("error: malformed spec: ")
 
 

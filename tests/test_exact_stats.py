@@ -224,7 +224,9 @@ def test_input_validation():
     with pytest.raises(ValueError):
         mgf_gamma_d(DIRECT, BUD, 0.0)
     with pytest.raises(ValueError):
-        RisEnsemble(elements=(), direct=DIRECT)
+        RisEnsemble(elements=(), direct=None)
+    with pytest.raises(ValueError, match="reflecting element"):
+        hris_cdf(RisEnsemble(elements=(), direct=DIRECT), 1.0)
 
 
 def test_heterogeneous_elements_accepted():

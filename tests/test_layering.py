@@ -1,5 +1,5 @@
-"""Module boundaries: no private imports across modules, one scenario-to-branch map, one anchor rule, one sampler,
-and no scipy at run time."""
+"""Module boundaries: no private imports across modules, one scenario-to-branch map, one entry point per metric,
+one anchor rule, one sampler, and no scipy at run time."""
 import ast
 import os
 import pathlib
@@ -37,6 +37,22 @@ def test_branch_scenarios_named_only_in_config():
         if path.name != "config.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Constant) and node.value in names
+    ]
+    assert not found, "\n".join(found)
+
+
+def test_metrics_has_one_entry_point_per_quantity():
+    # each quantity takes the branch set as one stat or ensemble; an (elements, direct) twin would fork it
+    functions = [
+        (node, [a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs])
+        for node in ast.parse((SRC / "metrics.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    assert functions, "metrics defines no public function"
+    found = [
+        f"metrics.py:{node.lineno} {node.name}({', '.join(params)})"
+        for node, params in functions
+        if params[:1] not in (["stat"], ["ensemble"]) or {"elements", "direct"} <= set(params)
     ]
     assert not found, "\n".join(found)
 

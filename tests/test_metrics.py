@@ -15,9 +15,6 @@ from rislink.foxh import QuadratureConfig
 from rislink.metrics import (
     ModulationParams,
     ber_exact,
-    branch_asymptote,
-    branch_ber,
-    branch_outage,
     diversity,
     outage_asymptotic,
     outage_exact,
@@ -30,6 +27,11 @@ MOD = ModulationParams(a=1.0, b=1.0)
 
 def make_stat(n, pt_dbm=20.0):
     return combined_snr_stat(RisEnsemble.identical(n, CASCADE, DIRECT), budget(GEOM, pt_dbm))
+
+
+def branch_stat(elements, direct, bud):
+    """SNR stat of any branch set: no elements is the direct link alone, direct=None the reflected branch alone."""
+    return combined_snr_stat(RisEnsemble(elements, direct), bud)
 
 
 def test_outage_exact_is_cdf():
@@ -157,8 +159,8 @@ ASYMPTOTE_CASES = {
 @pytest.mark.parametrize("case", ASYMPTOTE_CASES)
 def test_asymptote_over_exact_at_high_power(case):
     elements, direct, pt, bound, quad = ASYMPTOTE_CASES[case]
-    bud = budget(GEOM, pt)
-    ratio = branch_asymptote(elements, direct, bud, 1.0) / branch_outage(elements, direct, bud, 1.0, quad)
+    stat = branch_stat(elements, direct, budget(GEOM, pt))
+    ratio = outage_asymptotic(stat, 1.0) / outage_exact(stat, 1.0, quad)
     assert abs(ratio - 1.0) <= bound
 
 
@@ -171,24 +173,25 @@ def split_first(elements):
 @pytest.mark.parametrize("n", [2, 3, 10])
 def test_asymptote_class_path_equals_singleton_path(n):
     bud = budget(GEOM, 150.0)
-    grouped = branch_asymptote((CASCADE,) * n, DIRECT, bud, 1.0)
-    assert branch_asymptote(split_first((CASCADE,) * n), DIRECT, bud, 1.0) == pytest.approx(grouped, rel=1e-6)
+    grouped = outage_asymptotic(branch_stat((CASCADE,) * n, DIRECT, bud), 1.0)
+    split = outage_asymptotic(branch_stat(split_first((CASCADE,) * n), DIRECT, bud), 1.0)
+    assert split == pytest.approx(grouped, rel=1e-6)
 
 
 def test_asymptote_n10_is_the_double_pole_residue_in_any_order():
     # the epsilon-split residues of earlier releases read 7.65e-10 here
     bud = budget(GEOM, 100.0)
-    assert branch_asymptote((CASCADE,) * 10, DIRECT, bud, 1.0) == pytest.approx(2.847e-36, rel=1e-3)
+    assert outage_asymptotic(branch_stat((CASCADE,) * 10, DIRECT, bud), 1.0) == pytest.approx(2.847e-36, rel=1e-3)
     mixed = cascades("FP1", "FP2") * 5
     grouped = cascades(*["FP1"] * 5 + ["FP2"] * 5)
-    assert branch_asymptote(mixed, DIRECT, bud, 1.0) == pytest.approx(
-        branch_asymptote(grouped, DIRECT, bud, 1.0), rel=1e-12
+    assert outage_asymptotic(branch_stat(mixed, DIRECT, bud), 1.0) == pytest.approx(
+        outage_asymptotic(branch_stat(grouped, DIRECT, bud), 1.0), rel=1e-12
     )
 
 
 def test_asymptote_alternating_ensemble_is_two_classes():
     start = time.perf_counter()
-    value = branch_asymptote(cascades("FP2", "FP1") * 25, DIRECT, budget(GEOM, 60.0), 1.0)
+    value = outage_asymptotic(branch_stat(cascades("FP2", "FP1") * 25, DIRECT, budget(GEOM, 60.0)), 1.0)
     assert time.perf_counter() - start < 1.0
     assert 0.0 < value <= 1.0
 
@@ -215,16 +218,17 @@ def test_diversity_orders(preset, n, out_slope, out_icept, ber_slope, ber_icept)
 
 
 # ---------------------------------------------------------------------------
-# single-branch baselines: the branch-set entry points without one branch
+# single-branch baselines: the same entry points on a branch set without one branch
 
 
-def branch_outage_ber(elements, direct, bud, gamma_th):
-    return branch_outage(elements, direct, bud, gamma_th), branch_ber(elements, direct, bud, MOD)
+def outage_and_ber(elements, direct, bud, gamma_th):
+    stat = branch_stat(elements, direct, bud)
+    return outage_exact(stat, gamma_th), ber_exact(stat, MOD)
 
 
 def test_baseline_dt_matches_simulation():
     bud = budget(GEOM, 20.0)
-    outage, ber = branch_outage_ber((), DIRECT, bud, 1.0)
+    outage, ber = outage_and_ber((), DIRECT, bud, 1.0)
     rng = np.random.default_rng(31)
     snr = bud.gamma0_d * dgg_sample(DIRECT, rng, 400_000) ** 2
     emp_out = float(np.mean(snr <= 1.0))
@@ -237,7 +241,7 @@ def test_baseline_dt_matches_simulation():
 
 def test_baseline_ris_matches_simulation():
     bud = budget(GEOM, 90.0)
-    outage, ber = branch_outage_ber((CASCADE,) * 2, None, bud, 1.0)
+    outage, ber = outage_and_ber((CASCADE,) * 2, None, bud, 1.0)
     rng = np.random.default_rng(32)
     h = cascade_sample(CASCADE, rng, 400_000) + cascade_sample(CASCADE, rng, 400_000)
     snr = bud.gamma0_ris * h**2
@@ -252,13 +256,13 @@ def test_baseline_ris_matches_simulation():
 def test_baseline_validation():
     bud = budget(GEOM, 20.0)
     with pytest.raises(ValueError):
-        branch_outage((), DIRECT, bud, 0.0)
+        outage_exact(branch_stat((), DIRECT, bud), 0.0)
     with pytest.raises(ValueError):
-        branch_outage((CASCADE,), None, bud, -1.0)
+        outage_exact(branch_stat((CASCADE,), None, bud), -1.0)
 
 
-def test_branch_outage_out_of_range_raises():
+def test_outage_exact_out_of_range_raises():
     # the reflected branch alone, N=3 at -30 dBm: the evaluated CDF is 1.29, out of range by far more
     # than the last bits of the special functions move it
     with pytest.raises(RuntimeError, match="outside"):
-        branch_outage((CASCADE,) * 3, None, budget(GEOM, -30.0), 1.0)
+        outage_exact(branch_stat((CASCADE,) * 3, None, budget(GEOM, -30.0)), 1.0)
