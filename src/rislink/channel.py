@@ -48,11 +48,15 @@ def pathloss_cascaded(geom: LinkGeometry) -> float:
     return g * SPEED_OF_LIGHT**2 / (16.0 * math.pi * geom.freq_hz**2 * geom.d1_m * geom.d2_m)
 
 
+def _friis(gain: float, freq_hz: float, dist_m: float) -> float:
+    """Free-space amplitude path gain of one segment with antenna amplitude gain ``gain``."""
+    return gain * SPEED_OF_LIGHT / (4.0 * math.pi * freq_hz * dist_m)
+
+
 def pathloss_direct(geom: LinkGeometry) -> float:
     """Amplitude path gain of the direct path (endpoint heights ignored)."""
     g = math.sqrt(db_to_linear(geom.gain_tx_dbi) * db_to_linear(geom.gain_rx_dbi))
-    dist = math.hypot(geom.d1_m, geom.d2_m)
-    return g * SPEED_OF_LIGHT / (4.0 * math.pi * geom.freq_hz * dist)
+    return _friis(g, geom.freq_hz, math.hypot(geom.d1_m, geom.d2_m))
 
 
 def budget(geom: LinkGeometry, pt_dbm: float, noise_dbm: float = -74.0) -> LinkBudget:
@@ -68,6 +72,6 @@ def relay_hop_budgets(geom: LinkGeometry, pt_dbm: float, noise_dbm: float) -> tu
     at full configured power, and array gains stay with their terminals.
     """
     snr = dbm_to_watt(pt_dbm) / dbm_to_watt(noise_dbm)
-    h1 = math.sqrt(db_to_linear(geom.gain_tx_dbi)) * SPEED_OF_LIGHT / (4.0 * math.pi * geom.freq_hz * geom.d1_m)
-    h2 = math.sqrt(db_to_linear(geom.gain_rx_dbi)) * SPEED_OF_LIGHT / (4.0 * math.pi * geom.freq_hz * geom.d2_m)
+    h1 = _friis(math.sqrt(db_to_linear(geom.gain_tx_dbi)), geom.freq_hz, geom.d1_m)
+    h2 = _friis(math.sqrt(db_to_linear(geom.gain_rx_dbi)), geom.freq_hz, geom.d2_m)
     return h1**2 * snr, h2**2 * snr

@@ -77,11 +77,10 @@ def _columns(quantity: str, method: str) -> tuple[str, ...]:
     return (name, f"{name}_se") if method == "mc" else (name,)
 
 
-def _effective_methods(config: ScenarioConfig, quantities, warnings: list[str]) -> tuple[str, ...]:
-    """The requested methods that can evaluate the scenario; Monte-Carlo stands in for the rest,
-    and fills any quantity that none of them gives."""
+def _effective_methods(config: ScenarioConfig, branches, quantities, warnings: list[str]) -> tuple[str, ...]:
+    """The requested methods that can evaluate the scenario, of branch set ``branches`` (None for the relay);
+    Monte-Carlo stands in for the rest, and fills any quantity that none of them gives."""
     methods = list(config.methods)
-    branches = config.system.branches(config.scenario)
     unavailable = {}
     if branches is None:
         routes = {"exact": "exact evaluation has no route", "asymptotic": "no asymptote"}
@@ -116,12 +115,12 @@ def run_sweep(config: ScenarioConfig, quantity: str = "outage") -> CurveResult:
         raise ValueError(f"quantity must be outage/ber/both, got '{quantity}'")
     quantities = tuple(_FILLS) if quantity == "both" else (quantity,)
     warnings: list[str] = []
-    methods = _effective_methods(config, quantities, warnings)
+    branches = config.system.branches(config.scenario)
+    methods = _effective_methods(config, branches, quantities, warnings)
     pairs = [(q, m) for q in quantities for m in _FILLS[q] if m in methods]
     columns = ["pt_dbm"] + [c for pair in pairs for c in _columns(*pair)]
     mod = ModulationParams(config.modulation_a, config.modulation_b)
 
-    branches = config.system.branches(config.scenario)
     pts = sorted(config.pt_dbm)
     mcs = [None] * len(pts)
     if "mc" in methods:

@@ -11,7 +11,7 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 
-from .channel import LinkGeometry, budget
+from .channel import LinkGeometry, budget, relay_hop_budgets
 from .dgg import CascadeParams, DggParams
 from .exact_stats import RisEnsemble
 
@@ -126,15 +126,25 @@ class SystemConfig:
         return len(self.elements)
 
     def ensemble(self) -> RisEnsemble:
-        return RisEnsemble(elements=self.elements, direct=self.direct)
+        return self.branches("combined")
 
     def branches(self, scenario: str) -> RisEnsemble | None:
-        """The branch set that the exact and Monte-Carlo routes evaluate; None for the relay."""
+        """The branch set that the exact route evaluates; None for the relay."""
         branch_set = _BRANCH_SETS[scenario]
         if branch_set is None:
             return None
         reflected, direct = branch_set
         return RisEnsemble(self.elements if reflected else (), self.direct if direct else None)
+
+    def summands(self, scenario: str, pt_dbm: float) -> tuple[tuple[tuple[tuple, float], ...], str]:
+        """The scenario's SNR at pt_dbm as summands ((fading blocks, scale), ...) and their join, "sum" or
+        "min". A summand is its blocks' summed amplitudes squared, times its average-SNR scale."""
+        if _BRANCH_SETS[scenario] is None:  # the relay: one summand per hop of the first element
+            hops, (g1, g2) = self.elements[0], relay_hop_budgets(self.geometry, pt_dbm, self.noise_dbm)
+            return (((hops.hop1,), g1), ((hops.hop2,), g2)), "min"
+        reflected, direct = _BRANCH_SETS[scenario]
+        bud = budget(self.geometry, pt_dbm, self.noise_dbm)
+        return ((self.elements, bud.gamma0_ris),) * reflected + (((self.direct,), bud.gamma0_d),) * direct, "sum"
 
 
 def preset_system(name: str, n_elements: int) -> SystemConfig:

@@ -20,9 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import budget, relay_hop_budgets
 from .config import SCENARIOS, SystemConfig
-from .dgg import cascade_sample, dgg_sample
+from .dgg import dgg_sample
 from .special import erfc
 
 __all__ = [
@@ -41,6 +40,8 @@ __all__ = [
 # Trials per seeding unit. Estimates depend only on (plan, master_seed),
 # because every unit owns a dedicated stream.
 UNIT_TRIALS = 100_000
+# config's join of a scenario's summands -> the ufunc that applies it in place
+_JOINS = {"sum": np.add, "min": np.minimum}
 
 
 class DegenerateEstimate(RuntimeError):
@@ -87,44 +88,29 @@ def simulate_snr(plan: SimPlan, rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _draw_gains(plan: SimPlan, rng: np.random.Generator, n: int) -> list[np.ndarray]:
-    """Unscaled power gains (squared amplitudes) of n trials, one buffer per branch.
-
-    The summed element amplitude R is drawn first, then the direct
-    amplitude D; the relay's two hop amplitudes in hop order. Squaring
-    does not depend on the transmit power, so it is done here, in place.
-    """
-    config = plan.config
-    branches = config.branches(plan.scenario)
-    if branches is None:  # the decode-and-forward relay
-        hops = config.elements[0]
-        amplitudes = [dgg_sample(hops.hop1, rng, n), dgg_sample(hops.hop2, rng, n)]
-    else:
-        amplitudes = []
-        if branches.elements:
-            r = np.zeros(n)
-            for cascade in branches.elements:
-                r += cascade_sample(cascade, rng, n)
-            amplitudes.append(r)
-        if branches.direct is not None:
-            amplitudes.append(dgg_sample(branches.direct, rng, n))
-    for x in amplitudes:
+    """Unscaled power gains of n trials, one buffer per summand of the plan's scenario: its blocks'
+    amplitudes drawn in config's order and summed in the first draw's buffer, then squared in place
+    (squaring does not depend on the transmit power)."""
+    summands, _ = plan.config.summands(plan.scenario, plan.pt_dbm)
+    gains = []
+    for blocks, _ in summands:
+        x = dgg_sample(blocks[0], rng, n)
+        for block in blocks[1:]:
+            x += dgg_sample(block, rng, n)
         x **= 2
-    return amplitudes
+        gains.append(x)
+    return gains
 
 
 def _scales(plan: SimPlan) -> tuple[tuple[float, ...], np.ufunc]:
-    """The average-SNR scale of each branch _draw_gains draws, at the plan's power,
-    and the ufunc that joins the scaled branches: np.minimum for the relay, np.add otherwise."""
-    config = plan.config
-    branches = config.branches(plan.scenario)
-    if branches is None:
-        return relay_hop_budgets(config.geometry, plan.pt_dbm, config.noise_dbm), np.minimum
-    bud = budget(config.geometry, plan.pt_dbm, config.noise_dbm)
-    return (bud.gamma0_ris,) * bool(branches.elements) + (bud.gamma0_d,) * (branches.direct is not None), np.add
+    """The average-SNR scale of each summand _draw_gains draws, at the plan's power,
+    and the ufunc that joins the scaled summands."""
+    summands, join = plan.config.summands(plan.scenario, plan.pt_dbm)
+    return tuple(scale for _, scale in summands), _JOINS[join]
 
 
 def _snr(gains: list[np.ndarray], scales: tuple[float, ...], join: np.ufunc, out: list[np.ndarray]) -> np.ndarray:
-    """join over the branches of scale * gain, computed in the buffers of out (gains itself, or
+    """join over the summands of scale * gain, computed in the buffers of out (gains itself, or
     spare buffers that leave gains for another power). Each step is the written-out formula's
     operation on the same operands, so the values are bit-identical to it."""
     snr, *rest = [np.multiply(g, s, out=o) for g, s, o in zip(gains, scales, out)]
@@ -148,7 +134,7 @@ def _unit_sums(
 
     The unit's stream depends only on (master_seed, unit), and its gains
     are drawn once for every power. The last power computes its SNR in the
-    gain buffers, the others in one spare buffer per branch.
+    gain buffers, the others in one spare buffer per summand.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=plan.master_seed, spawn_key=(unit,)))
     gains = _draw_gains(plan, rng, n)

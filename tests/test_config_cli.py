@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 
 from rislink import cli
+from rislink.channel import budget, relay_hop_budgets
 from rislink.cli import EXIT_ERROR, EXIT_OK, EXIT_WARNINGS, emit_csv, main, run_sweep
 from rislink.config import (
     PRESETS,
@@ -22,6 +23,7 @@ from rislink.config import (
     preset_fading,
     preset_system,
 )
+from rislink.exact_stats import RisEnsemble
 from rislink.foxh import MAX_DIMS
 from rislink.metrics import ModulationParams
 from rislink.montecarlo import SimPlan, tally
@@ -312,6 +314,25 @@ def scenario_cfg(scenario, n=1, pt="10 20", methods="exact,mc"):
         f"scenario = {scenario}\nn_elements = {n}\nfading_preset = FP1\n"
         f"pt_dbm = {pt}\nmethods = {methods}\nmc_trials = 20000\n"
     )
+
+
+def test_summands_of_every_scenario():
+    # each summand's blocks in draw order and its scale, exactly the channel budget's; the relay's hops min-joined
+    system = preset_system("FP1", 2)
+    cascade, direct = preset_fading("FP1")
+    bud = budget(system.geometry, 20.0, system.noise_dbm)
+    g1, g2 = relay_hop_budgets(system.geometry, 20.0, system.noise_dbm)
+    reflected, direct_link = ((cascade, cascade), bud.gamma0_ris), ((direct,), bud.gamma0_d)
+    expected = {
+        "combined": ((reflected, direct_link), "sum"),
+        "ris_only": ((reflected,), "sum"),
+        "dt_only": ((direct_link,), "sum"),
+        "df_relay": ((((cascade.hop1,), g1), ((cascade.hop2,), g2)), "min"),
+    }
+    assert tuple(expected) == SCENARIOS
+    for scenario, want in expected.items():
+        assert system.summands(scenario, 20.0) == want, scenario
+    assert system.ensemble() == system.branches("combined") == RisEnsemble((cascade, cascade), direct)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)

@@ -1,5 +1,5 @@
-"""Module boundaries: no private imports across modules, one scenario-to-branch map, one entry point per metric,
-one anchor rule, one sampler, and no scipy at run time."""
+"""Module boundaries: no private imports across modules, one scenario-to-branch map, one SNR model per scenario,
+one entry point per metric, one anchor rule, one sampler, and no scipy at run time."""
 import ast
 import os
 import pathlib
@@ -37,6 +37,24 @@ def test_branch_scenarios_named_only_in_config():
         if path.name != "config.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Constant) and node.value in names
+    ]
+    assert not found, "\n".join(found)
+
+
+def test_montecarlo_draws_only_what_config_returns():
+    # config turns a scenario into SNR summands and their join; montecarlo reading the branch set,
+    # the fading blocks, the geometry or the noise floor itself would decide the scenario a second time
+    fields = {"elements", "direct", "branches", "geometry", "noise_dbm"}
+
+    def hits(node):
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").split(".")[-1] == "channel" or "channel" in {a.name for a in node.names}
+        return isinstance(node, ast.Attribute) and node.attr in fields
+
+    found = [
+        f"montecarlo.py:{node.lineno} {ast.unparse(node)}"
+        for node in ast.walk(ast.parse((SRC / "montecarlo.py").read_text(encoding="utf-8")))
+        if hits(node)
     ]
     assert not found, "\n".join(found)
 
